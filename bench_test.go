@@ -127,6 +127,29 @@ func BenchmarkLowering(b *testing.B) {
 	}
 }
 
+// BenchmarkFingerprint measures hashing one pre-built TRFD suite's
+// lowered programs. Each iteration wraps the same programs in a fresh
+// Suite, whose fingerprint memo starts empty, so the hash is recomputed
+// rather than read back.
+func BenchmarkFingerprint(b *testing.B) {
+	tr, err := daesim.Workload("TRFD", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := daesim.NewSuite(tr, daesim.Classic)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := &daesim.Suite{Trace: s.Trace, DM: s.DM, SWSM: s.SWSM}
+		benchFingerprint = fresh.Fingerprint()
+	}
+}
+
+var benchFingerprint string
+
 // BenchmarkTable1 regenerates Table 1 (DM latency-hiding effectiveness
 // for the seven programs, MD=60) and reports TRACK's unlimited-window
 // LHE, the poorly-effective band's headline value.

@@ -376,7 +376,8 @@ type cacheReport struct {
 	// Runner-level traffic: L1 (in-memory) hits, persistent-store hits,
 	// simulations executed, uncacheable runs, and the composite hit rate.
 	Runner sweep.CacheStats `json:"runner"`
-	// HitRate is Runner's fraction of cacheable points served from cache.
+	// HitRate is Runner's fraction of cacheable requests served without
+	// simulating locally (sweep.CacheStats.HitRate).
 	HitRate float64 `json:"hit_rate"`
 	// Store-level counters (zero when -cache is off).
 	Store sweep.StoreStats `json:"store"`

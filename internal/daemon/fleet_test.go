@@ -1,8 +1,8 @@
 package daemon
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -110,6 +110,16 @@ func TestFleetFigure7ByteIdentical(t *testing.T) {
 	}
 	if stats.RemoteSearches == 0 || stats.RemoteHits == 0 {
 		t.Errorf("fleet context should report remote traffic, got %+v", stats)
+	}
+
+	// A fresh client rendering Figure 7 against the now-warm fleet is
+	// served by remote searches alone, and its hit rate must say so.
+	warmCtx := fleetContext(fleet)
+	if _, err := warmCtx.RatioFigure("FLO52Q"); err != nil {
+		t.Fatal(err)
+	}
+	if warm := warmCtx.CacheStats(); warm.Sims != 0 || warm.HitRate() != 1 {
+		t.Errorf("warm fleet Figure 7: %d local sims, hit rate %v; want 0 and 1 (%+v)", warm.Sims, warm.HitRate(), warm)
 	}
 	var total int64
 	loads := make([]int64, len(servers))

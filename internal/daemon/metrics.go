@@ -68,7 +68,7 @@ func InstrumentCacheStats(r *obsv.Registry, stats func() sweep.CacheStats) {
 	for field, spec := range cacheStatsMetrics {
 		fieldCounter(r, spec, field, func() reflect.Value { return reflect.ValueOf(stats()) })
 	}
-	r.GaugeFunc("daesim_runner_hit_rate", "fraction of cacheable points served without simulating",
+	r.GaugeFunc("daesim_runner_hit_rate", "fraction of cacheable requests served without simulating locally",
 		func() float64 { return stats().HitRate() })
 }
 

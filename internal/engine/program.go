@@ -29,20 +29,21 @@ const (
 //
 // Op is the authoring format only: NewProgram repacks the op stream into
 // structure-of-arrays slabs (see Program) and the simulator never touches
-// the Op structs again, so lowerings are free to build them incrementally
-// with per-op Srcs slices.
+// the Op structs again. The lowerings carve every Srcs out of one shared
+// slab per program with cap == len: treat Srcs as read-only and copy it
+// before appending to or modifying it.
 type Op struct {
 	// Kind selects latency and memory behaviour.
 	Kind isa.OpKind
 	// Unit is the core that executes the op.
 	Unit isa.Unit
+	// MemSrc, for consume ops (LoadRecv/Access), is the matching send op;
+	// the edge delay is the memory fill time rather than the producer
+	// latency. (Declared before Srcs so it packs next to Kind and Unit.)
+	MemSrc int32
 	// Srcs are true-dependence producers: this op becomes ready only after
 	// each producer completes.
 	Srcs []int32
-	// MemSrc, for consume ops (LoadRecv/Access), is the matching send op;
-	// the edge delay is the memory fill time rather than the producer
-	// latency.
-	MemSrc int32
 	// Addr is the byte address for memory ops (sends and consumes); used
 	// only by locality-aware memory models.
 	Addr uint64
@@ -121,8 +122,11 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 	p.cfOff = make([]int32, n+1)
 	p.streamOff = make([]int32, numUnits+1)
 
-	// Pass 1: validate and count edges; offsets temporarily hold counts
-	// shifted one slot right so the prefix sum turns them into offsets.
+	// Pass 1: validate and count edges. Consumer counts go two slots
+	// right of their producer (a producer always precedes its consumer,
+	// so s+2 <= n): the prefix sum then leaves each list's start one
+	// slot right, where pass 2 advances it to the list's end — which is
+	// the final offset layout, with no separate fill cursors.
 	nSrcs := 0
 	for i := range ops {
 		op := &ops[i]
@@ -136,7 +140,7 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 			if s < 0 || s >= int32(i) {
 				return nil, fmt.Errorf("engine: program %s: op %d: src %d not strictly backwards", name, i, s)
 			}
-			p.cpOff[s+1]++
+			p.cpOff[s+2]++
 			p.nDeps[i]++
 		}
 		nSrcs += len(op.Srcs)
@@ -148,7 +152,7 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 			if !ops[op.MemSrc].Kind.IsSend() {
 				return nil, fmt.Errorf("engine: program %s: op %d: MemSrc %d is %v, not a send", name, i, op.MemSrc, ops[op.MemSrc].Kind)
 			}
-			p.cfOff[op.MemSrc+1]++
+			p.cfOff[op.MemSrc+2]++
 			p.nDeps[i]++
 		case op.MemSrc != NoDep:
 			return nil, fmt.Errorf("engine: program %s: op %d: MemSrc on non-consume op %v", name, i, op.Kind)
@@ -169,12 +173,8 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 
 	// Pass 2: fill the slabs. Consumer and stream lists are appended in
 	// ascending op order, matching the order the old [][]int32 layout
-	// produced; fill cursors reuse scratch counters.
-	cpNext := make([]int32, n)
-	cfNext := make([]int32, n)
+	// produced.
 	streamNext := make([]int32, numUnits)
-	copy(cpNext, p.cpOff[:n])
-	copy(cfNext, p.cfOff[:n])
 	copy(streamNext, p.streamOff[:numUnits])
 	srcPos := int32(0)
 	for i := range ops {
@@ -188,13 +188,13 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 		for _, s := range op.Srcs {
 			p.srcDat[srcPos] = s
 			srcPos++
-			p.cpDat[cpNext[s]] = int32(i)
-			cpNext[s]++
+			p.cpDat[p.cpOff[s+1]] = int32(i)
+			p.cpOff[s+1]++
 		}
 		if op.Kind.IsConsume() {
 			p.memSrcs[i] = op.MemSrc
-			p.cfDat[cfNext[op.MemSrc]] = int32(i)
-			cfNext[op.MemSrc]++
+			p.cfDat[p.cfOff[op.MemSrc+1]] = int32(i)
+			p.cfOff[op.MemSrc+1]++
 		}
 		u := int(op.Unit)
 		p.posInStream[i] = streamNext[u] - p.streamOff[u]

@@ -54,11 +54,25 @@ func (a Array) Name() string { return a.name }
 // At returns the byte address of element i.
 func (a Array) At(i int) uint64 { return a.base + uint64(i)*a.elem }
 
+// Chunk sizes for the builder's storage. Instructions accumulate in
+// chunks that grow geometrically from minInstrChunk to maxInstrChunk, so
+// a build never recopies what it already emitted and Trace makes the one
+// exact-length copy. Operand lists are carved from shared refChunk-sized
+// slabs instead of one small allocation per instruction.
+const (
+	minInstrChunk = 256
+	maxInstrChunk = 8192
+	refChunk      = 4096
+)
+
 // Builder accumulates a trace. The zero value is not ready for use; call
 // New.
 type Builder struct {
 	name   string
-	instrs []trace.Instr
+	full   [][]trace.Instr // filled chunks, in program order
+	cur    []trace.Instr   // chunk being filled; its cap is the chunk size
+	n      int             // instructions emitted
+	refs   []int32         // unused tail of the current operand slab
 	nextAd uint64
 }
 
@@ -69,7 +83,7 @@ func New(name string) *Builder {
 }
 
 // Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.instrs) }
+func (b *Builder) Len() int { return b.n }
 
 // Array reserves an address region for n elements of elemSize bytes.
 func (b *Builder) Array(name string, n, elemSize int) Array {
@@ -86,15 +100,47 @@ func (b *Builder) Array(name string, n, elemSize int) Array {
 }
 
 func (b *Builder) emit(in trace.Instr) Val {
-	b.instrs = append(b.instrs, in)
-	return Val{idx: int32(len(b.instrs))}
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]trace.Instr, 0, min(max(2*cap(b.cur), minInstrChunk), maxInstrChunk))
+	}
+	b.cur = append(b.cur, in)
+	b.n++
+	return Val{idx: int32(b.n)}
 }
 
-func refs(vals []Val) []int32 {
-	var out []int32
+// take carves an n-element operand list from the shared slab. The list's
+// cap equals its len, so appending to it reallocates instead of writing
+// over the neighbouring instruction's operands.
+func (b *Builder) take(n int) []int32 {
+	if len(b.refs) < n {
+		b.refs = make([]int32, max(n, refChunk))
+	}
+	out := b.refs[:n:n]
+	b.refs = b.refs[n:]
+	return out
+}
+
+// refsOf returns the producer indices of the non-constant values, or nil
+// when every value is a constant.
+func (b *Builder) refsOf(vals []Val) []int32 {
+	n := 0
 	for _, v := range vals {
 		if v.Valid() {
-			out = append(out, v.Index())
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := b.take(n)
+	n = 0
+	for _, v := range vals {
+		if v.Valid() {
+			out[n] = v.Index()
+			n++
 		}
 	}
 	return out
@@ -104,12 +150,12 @@ func refs(vals []Val) []int32 {
 // Constant (zero) operands are dropped; an all-constant Int models loading
 // an immediate or a loop-invariant base address.
 func (b *Builder) Int(args ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.IntALU, Args: refs(args)})
+	return b.emit(trace.Instr{Class: isa.IntALU, Args: b.refsOf(args)})
 }
 
 // FP emits a floating-point operation consuming the given values.
 func (b *Builder) FP(args ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.FPALU, Args: refs(args)})
+	return b.emit(trace.Instr{Class: isa.FPALU, Args: b.refsOf(args)})
 }
 
 // IntChain emits a dependent chain of n integer operations seeded by the
@@ -134,7 +180,7 @@ func (b *Builder) FPChain(n int, args ...Val) Val {
 
 // Load emits a load of arr[i] whose address depends on the given values.
 func (b *Builder) Load(arr Array, i int, addr ...Val) Val {
-	return b.emit(trace.Instr{Class: isa.Load, Addr: refs(addr), MemAddr: arr.At(i)})
+	return b.emit(trace.Instr{Class: isa.Load, Addr: b.refsOf(addr), MemAddr: arr.At(i)})
 }
 
 // Store emits a store of data to arr[i] whose address depends on the given
@@ -143,14 +189,22 @@ func (b *Builder) Store(arr Array, i int, data Val, addr ...Val) {
 	if !data.Valid() {
 		panic("kernel: store of constant data")
 	}
-	b.emit(trace.Instr{Class: isa.Store, Addr: refs(addr), Args: []int32{data.Index()}, MemAddr: arr.At(i)})
+	args := b.take(1)
+	args[0] = data.Index()
+	b.emit(trace.Instr{Class: isa.Store, Addr: b.refsOf(addr), Args: args, MemAddr: arr.At(i)})
 }
 
-// Trace finalizes the builder, validates the trace and returns it.
-// The builder can keep being used; later Trace calls include the new
-// instructions.
+// Trace finalizes the builder, validates the trace and returns it. The
+// trace's instruction slice is a fresh exact-length copy, so no growth
+// slack stays live with it. The builder can keep being used; later
+// Trace calls include the new instructions.
 func (b *Builder) Trace() (*trace.Trace, error) {
-	t := &trace.Trace{Name: b.name, Instrs: b.instrs}
+	instrs := make([]trace.Instr, 0, b.n)
+	for _, c := range b.full {
+		instrs = append(instrs, c...)
+	}
+	instrs = append(instrs, b.cur...)
+	t := &trace.Trace{Name: b.name, Instrs: instrs}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,55 @@ func TestTraceSnapshotGrows(t *testing.T) {
 	t2 := b.MustTrace()
 	if t1.Len() != 1 || t2.Len() != 2 {
 		t.Fatalf("snapshot lengths: %d then %d", t1.Len(), t2.Len())
+	}
+}
+
+// TestOperandListsDoNotAlias pins the slab ownership rule: every
+// instruction's Args and Addr are read-only views into shared slabs with
+// cap == len, so appending to one instruction's operands reallocates
+// instead of overwriting its neighbour's.
+func TestOperandListsDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := New("alias")
+	arr := b.Array("a", 256, 8)
+	vals := []Val{b.Int()}
+	pick := func() Val { return vals[rng.Intn(len(vals))] }
+	for i := 0; i < 20000; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			vals = append(vals, b.Int(pick(), pick()))
+		case 1:
+			vals = append(vals, b.FP(pick(), Const))
+		case 2:
+			vals = append(vals, b.Load(arr, rng.Intn(256), pick()))
+		case 3:
+			b.Store(arr, rng.Intn(256), pick(), pick())
+		}
+	}
+	tr := b.MustTrace()
+	if cap(tr.Instrs) != len(tr.Instrs) {
+		t.Fatalf("trace cap %d != len %d: growth slack stays live", cap(tr.Instrs), len(tr.Instrs))
+	}
+	ins := tr.Instrs
+	type operands struct{ args, addr []int32 }
+	want := make([]operands, len(ins))
+	for i := range ins {
+		if cap(ins[i].Args) != len(ins[i].Args) || cap(ins[i].Addr) != len(ins[i].Addr) {
+			t.Fatalf("instr %d: operand cap != len (args %d/%d, addr %d/%d)",
+				i, len(ins[i].Args), cap(ins[i].Args), len(ins[i].Addr), cap(ins[i].Addr))
+		}
+		want[i] = operands{slices.Clone(ins[i].Args), slices.Clone(ins[i].Addr)}
+	}
+	for i := range ins {
+		ins[i].Args = append(ins[i].Args, -7)
+		ins[i].Addr = append(ins[i].Addr, -7)
+	}
+	for i := range ins {
+		if got := ins[i].Args[:len(want[i].args)]; !slices.Equal(got, want[i].args) {
+			t.Fatalf("instr %d: Args %v after appending to every instruction, want %v", i, got, want[i].args)
+		}
+		if got := ins[i].Addr[:len(want[i].addr)]; !slices.Equal(got, want[i].addr) {
+			t.Fatalf("instr %d: Addr %v after appending to every instruction, want %v", i, got, want[i].addr)
+		}
 	}
 }

@@ -43,7 +43,9 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 	}
 	n := tr.Len()
 	res := &DMResult{Assignment: asg}
-	ops := make([]engine.Op, 0, n*2)
+	nOps, nSrcs := dmSize(tr, asg)
+	ops := make([]engine.Op, 0, nOps)
+	slab := make([]int32, nSrcs)
 	// avail[u][v] is the machine op producing trace value v on unit u, or
 	// engine.NoDep when the value is not (yet) available there.
 	avail := [2][]int32{make([]int32, n), make([]int32, n)}
@@ -70,7 +72,9 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 		if src == engine.NoDep {
 			panic(fmt.Sprintf("lower: trace %s: value %d unavailable on both units at %d", tr.Name, v, orig))
 		}
-		cp := emit(engine.Op{Kind: isa.OpCopy, Unit: other, Srcs: []int32{src}, MemSrc: engine.NoDep, Orig: orig})
+		srcs := take(&slab, 1)
+		srcs[0] = src
+		cp := emit(engine.Op{Kind: isa.OpCopy, Unit: other, Srcs: srcs, MemSrc: engine.NoDep, Orig: orig})
 		avail[u][v] = cp
 		if other == isa.AU {
 			res.CopiesAUDU++
@@ -83,7 +87,7 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 		if len(vals) == 0 {
 			return nil
 		}
-		out := make([]int32, len(vals))
+		out := take(&slab, len(vals))
 		for i, v := range vals {
 			out[i] = resolve(v, u, orig)
 		}
@@ -127,12 +131,17 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 			if avail[isa.DU][data] == engine.NoDep {
 				du = isa.AU
 			}
+			srcs := take(&slab, 1)
+			srcs[0] = resolve(data, du, orig)
 			emit(engine.Op{
 				Kind: isa.OpStoreData, Unit: du,
-				Srcs: []int32{resolve(data, du, orig)}, MemSrc: engine.NoDep,
+				Srcs: srcs, MemSrc: engine.NoDep,
 				Addr: in.MemAddr, Orig: orig,
 			})
 		}
+	}
+	if err := checkSize(tr, "DM", ops, slab); err != nil {
+		return nil, err
 	}
 	p, err := engine.NewProgram(tr.Name+"/dm", ops, 2, n)
 	if err != nil {
@@ -142,25 +151,110 @@ func DM(tr *trace.Trace, pol partition.Policy) (*DMResult, error) {
 	return res, nil
 }
 
+// dmSize returns the exact number of ops and dependence sources DM emits
+// for tr under asg. It replays which units hold each value: a value is
+// held where it is computed or received, and a copy (one op, one source)
+// is emitted the first time an ALU op or an address on the other unit
+// needs it. Store data never needs a copy: its half runs wherever the
+// value already is.
+func dmSize(tr *trace.Trace, asg *partition.Assignment) (ops, srcs int) {
+	held := make([]uint8, tr.Len()) // bit u: value available on unit u
+	need := func(vals []int32, u isa.Unit) {
+		srcs += len(vals)
+		for _, v := range vals {
+			if held[v]&(1<<u) == 0 {
+				held[v] |= 1 << u
+				ops++
+				srcs++
+			}
+		}
+	}
+	for i := range tr.Instrs {
+		in := &tr.Instrs[i]
+		switch in.Class {
+		case isa.IntALU, isa.FPALU:
+			need(in.Args, asg.Unit[i])
+			held[i] |= 1 << asg.Unit[i]
+			ops++
+		case isa.Load:
+			need(in.Addr, isa.AU)
+			ops++
+			if asg.RecvAU[i] {
+				held[i] |= 1 << isa.AU
+				ops++
+			}
+			if asg.RecvDU[i] {
+				held[i] |= 1 << isa.DU
+				ops++
+			}
+		case isa.Store:
+			need(in.Addr, isa.AU)
+			ops += 2
+			srcs++
+		}
+	}
+	return ops, srcs
+}
+
+// take carves an n-element Srcs list off the front of slab. The list's
+// cap equals its len, so appending to it reallocates instead of writing
+// over the next op's sources.
+func take(slab *[]int32, n int) []int32 {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// checkSize reports a lowering whose size pre-pass disagreed with what it
+// emitted: ops and the Srcs slab are allocated exactly, so any slack left
+// over (or a reallocation of ops) means the pre-pass is wrong.
+func checkSize(tr *trace.Trace, machine string, ops []engine.Op, slab []int32) error {
+	if len(ops) != cap(ops) || len(slab) != 0 {
+		return fmt.Errorf("lower: trace %s: %s size pre-pass disagrees with the lowering (%d/%d ops, %d sources unused)",
+			tr.Name, machine, len(ops), cap(ops), len(slab))
+	}
+	return nil
+}
+
 // SWSM lowers tr for the single-window superscalar machine.
 func SWSM(tr *trace.Trace) (*engine.Program, error) {
 	n := tr.Len()
-	ops := make([]engine.Op, 0, n+n/4)
+	// Every memory instruction becomes two ops; a store's access depends
+	// on its address and its data.
+	nOps, nSrcs := n, 0
+	for i := range tr.Instrs {
+		in := &tr.Instrs[i]
+		switch in.Class {
+		case isa.IntALU, isa.FPALU:
+			nSrcs += len(in.Args)
+		case isa.Load:
+			nOps++
+			nSrcs += len(in.Addr)
+		case isa.Store:
+			nOps++
+			nSrcs += 2*len(in.Addr) + len(in.Args)
+		}
+	}
+	ops := make([]engine.Op, 0, nOps)
+	slab := make([]int32, nSrcs)
 	avail := make([]int32, n)
 	for i := range avail {
 		avail[i] = engine.NoDep
+	}
+	resolveInto := func(dst, vals []int32) {
+		for i, v := range vals {
+			if avail[v] == engine.NoDep {
+				panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
+			}
+			dst[i] = avail[v]
+		}
 	}
 	resolveAll := func(vals []int32) []int32 {
 		if len(vals) == 0 {
 			return nil
 		}
-		out := make([]int32, len(vals))
-		for i, v := range vals {
-			if avail[v] == engine.NoDep {
-				panic(fmt.Sprintf("lower: trace %s: value %d unavailable", tr.Name, v))
-			}
-			out[i] = avail[v]
-		}
+		out := take(&slab, len(vals))
+		resolveInto(out, vals)
 		return out
 	}
 	emit := func(op engine.Op) int32 {
@@ -182,9 +276,14 @@ func SWSM(tr *trace.Trace) (*engine.Program, error) {
 			avail[i] = emit(engine.Op{Kind: isa.OpAccess, Unit: isa.AU, MemSrc: pf, Addr: in.MemAddr, Orig: orig})
 		case isa.Store:
 			emit(engine.Op{Kind: isa.OpPrefetch, Unit: isa.AU, Srcs: resolveAll(in.Addr), MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
-			srcs := resolveAll(append(append([]int32(nil), in.Addr...), in.Args...))
+			srcs := take(&slab, len(in.Addr)+len(in.Args))
+			resolveInto(srcs, in.Addr)
+			resolveInto(srcs[len(in.Addr):], in.Args)
 			emit(engine.Op{Kind: isa.OpStoreAcc, Unit: isa.AU, Srcs: srcs, MemSrc: engine.NoDep, Addr: in.MemAddr, Orig: orig})
 		}
+	}
+	if err := checkSize(tr, "SWSM", ops, slab); err != nil {
+		return nil, err
 	}
 	return engine.NewProgram(tr.Name+"/swsm", ops, 1, n)
 }

@@ -2,6 +2,7 @@ package lower
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,42 @@ func TestUnlimitedLoweredRuns(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSrcsDoNotAlias pins the slab ownership rule: every op's Srcs is a
+// read-only view into a shared slab with cap == len, so appending to one
+// op's sources reallocates instead of overwriting its neighbour's.
+func TestSrcsDoNotAlias(t *testing.T) {
+	tr := randomKernel(rand.New(rand.NewSource(3)), 400)
+	sw, err := SWSM(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*engine.Program{sw}
+	for _, pol := range partition.Policies() {
+		dm, err := DM(tr, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, dm.Program)
+	}
+	for _, p := range progs {
+		ops := p.Ops
+		want := make([][]int32, len(ops))
+		for i := range ops {
+			if cap(ops[i].Srcs) != len(ops[i].Srcs) {
+				t.Fatalf("%s: op %d: Srcs cap %d != len %d", p.Name, i, cap(ops[i].Srcs), len(ops[i].Srcs))
+			}
+			want[i] = slices.Clone(ops[i].Srcs)
+		}
+		for i := range ops {
+			ops[i].Srcs = append(ops[i].Srcs, -7)
+		}
+		for i := range ops {
+			if got := ops[i].Srcs[:len(want[i])]; !slices.Equal(got, want[i]) {
+				t.Fatalf("%s: op %d: Srcs %v after appending to every op, want %v", p.Name, i, got, want[i])
+			}
+		}
 	}
 }

@@ -60,8 +60,8 @@ type CacheStats struct {
 	// RemoteSearches are whole equivalent-window searches answered
 	// server-side by a remote daemon (experiments.Context.RemoteSearch)
 	// — each stands for a full probe sequence that never touched the
-	// local layers, so they are reported alongside RemoteHits but are
-	// not points and do not enter HitRate.
+	// local layers. HitRate counts each as one served request, so a run
+	// answered entirely by remote searches reports 1, not 0.
 	RemoteSearches int64
 	// Sims are simulations actually executed for cacheable points.
 	Sims int64
@@ -87,15 +87,16 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.Uncacheable += other.Uncacheable
 }
 
-// HitRate returns the fraction of cacheable points served without
-// simulating locally (from the in-memory map, the persistent store, or
-// a remote daemon).
+// HitRate returns the fraction of cacheable requests served without
+// simulating locally: points from the in-memory map, the persistent
+// store or a remote daemon, plus whole searches answered remotely.
 func (s CacheStats) HitRate() float64 {
-	total := s.L1Hits + s.StoreHits + s.RemoteHits + s.Sims + s.Degraded
+	served := s.L1Hits + s.StoreHits + s.RemoteHits + s.RemoteSearches
+	total := served + s.Sims + s.Degraded
 	if total == 0 {
 		return 0
 	}
-	return float64(s.L1Hits+s.StoreHits+s.RemoteHits) / float64(total)
+	return float64(served) / float64(total)
 }
 
 // Runner executes points against one suite.

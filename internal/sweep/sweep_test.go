@@ -52,6 +52,26 @@ func TestRunCaches(t *testing.T) {
 	}
 }
 
+func TestHitRate(t *testing.T) {
+	for _, c := range []struct {
+		stats CacheStats
+		want  float64
+	}{
+		{CacheStats{}, 0},
+		{CacheStats{Sims: 4}, 0},
+		{CacheStats{L1Hits: 1, StoreHits: 1, RemoteHits: 1, Sims: 1}, 0.75},
+		// A run answered entirely by remote searches simulated nothing.
+		{CacheStats{RemoteSearches: 12}, 1},
+		{CacheStats{RemoteSearches: 2, RemoteHits: 1, Degraded: 1}, 0.75},
+		// Uncacheable runs are outside the rate.
+		{CacheStats{L1Hits: 3, Uncacheable: 5}, 1},
+	} {
+		if got := c.stats.HitRate(); got != c.want {
+			t.Errorf("%+v: HitRate %v, want %v", c.stats, got, c.want)
+		}
+	}
+}
+
 func TestRunReturnsDefensiveCopies(t *testing.T) {
 	// Cached Results used to be shared pointers guarded only by a "must
 	// not be mutated" comment; this pins the defensive-copy contract: a

@@ -24,6 +24,9 @@ const None int32 = -1
 // Instr is one instruction of a trace. Operand references are indices of
 // earlier instructions in the same trace; an instruction's "value" is the
 // result it produces (loads produce the loaded value; stores produce none).
+// Traces built by internal/kernel carve Addr and Args out of shared slabs
+// with cap == len: treat them as read-only and copy one before appending
+// to or modifying it.
 type Instr struct {
 	// Class is the instruction class.
 	Class isa.Class

@@ -295,6 +295,9 @@ func (s Spec) Generate(scale int) *trace.Trace {
 	// Step-major interleave across lanes: program order carries the
 	// cross-lane parallelism, as a software-pipelining compiler schedules
 	// independent outer iterations (the ADM/QCD idiom in workloads).
+	// vals and args are reused across steps: the builder copies operands.
+	vals := make([]kernel.Val, 0, loads)
+	args := make([]kernel.Val, 0, 1+loads)
 	for step := 0; step < iters; step++ {
 		for l := range lanes {
 			ln := &lanes[l]
@@ -305,7 +308,7 @@ func (s Spec) Generate(scale int) *trace.Trace {
 			} else {
 				ln.base = b.Int(ln.base)
 			}
-			vals := make([]kernel.Val, 0, loads)
+			vals = vals[:0]
 			for slot := 0; slot < loads; slot++ {
 				switch s.shapeAt(l, step, slot) {
 				case Affine:
@@ -327,7 +330,7 @@ func (s Spec) Generate(scale int) *trace.Trace {
 			// chain round-robin so no op exceeds the operand-count limits.
 			carry := ln.carry
 			for d := 0; d < s.Depth; d++ {
-				args := []kernel.Val{carry}
+				args = append(args[:0], carry)
 				for vi := d; vi < len(vals); vi += s.Depth {
 					args = append(args, vals[vi])
 				}
