@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"daesim"
+	"daesim/internal/engine"
 	"daesim/internal/experiments"
+	"daesim/internal/machine"
 )
 
 // benchSuite caches lowered programs for the microbenchmarks only; the
@@ -49,6 +51,9 @@ func suites(b *testing.B) (*daesim.Suite, *daesim.Suite) {
 func BenchmarkEngineDM(b *testing.B) {
 	flo, _ := suites(b)
 	ops := float64(flo.DM.Program.Len())
+	if _, err := flo.RunDM(daesim.Params{Window: 64, MD: 60}); err != nil {
+		b.Fatal(err) // compile the program so its one-time build isn't timed
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,6 +71,9 @@ func BenchmarkEngineDM(b *testing.B) {
 func BenchmarkEngineSWSM(b *testing.B) {
 	flo, _ := suites(b)
 	ops := float64(flo.SWSM.Len())
+	if _, err := flo.RunSWSM(daesim.Params{Window: 64, MD: 60}); err != nil {
+		b.Fatal(err) // compile the program so its one-time build isn't timed
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,6 +120,35 @@ func BenchmarkEngineSWSMScratch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
+// BenchmarkFirstRun measures a program's first simulation: a fresh
+// engine.Program over FLO52Q's decoupled-machine ops, compiled by its
+// one Run. Lowering does not build the simulator's slabs, so this is
+// where that cost is tracked. The Sim is warm, so scratch growth isn't
+// timed.
+func BenchmarkFirstRun(b *testing.B) {
+	flo, _ := suites(b)
+	dm := flo.DM.Program
+	cfg, err := daesim.Params{Window: 64, MD: 60}.Config(machine.DM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim := daesim.NewSim()
+	if _, err := sim.Run(dm, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := engine.NewProgram(dm.Name, dm.Ops, dm.NumUnits, dm.TraceLen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkLowering measures trace construction and machine lowering.

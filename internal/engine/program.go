@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"daesim/internal/isa"
 )
@@ -27,9 +28,11 @@ const (
 // program order; each is bound to one core (unit) and dispatches in order
 // within that core's stream.
 //
-// Op is the authoring format only: NewProgram repacks the op stream into
-// structure-of-arrays slabs (see Program) and the simulator never touches
-// the Op structs again. The lowerings carve every Srcs out of one shared
+// Op is the authoring format only: a Program's first simulation repacks
+// the op stream into structure-of-arrays slabs (see Program) and the
+// simulator never touches the Op structs again. Ops stays the program's
+// identity — fingerprints, KindCounts, Len and the reference oracle read
+// it directly. The lowerings carve every Srcs out of one shared
 // slab per program with cap == len: treat Srcs as read-only and copy it
 // before appending to or modifying it.
 type Op struct {
@@ -52,10 +55,15 @@ type Op struct {
 	Orig int32
 }
 
-// Program is an immutable lowered program plus precomputed dependence
-// structure. Build one with NewProgram and reuse it across many Run calls.
+// Program is an immutable lowered program plus its dependence structure.
+// Build one with NewProgram and reuse it across many Run calls.
 //
-// Internally the op stream is repacked as structure-of-arrays: the hot
+// NewProgram only validates; the op stream is compiled once, on the
+// program's first Run, Stream or DataflowTime, so a program that is never
+// simulated (a warm cache hit, a lowering nobody runs) never pays for the
+// slabs. Compilation is safe under concurrent first runs.
+//
+// The compiled form repacks the op stream as structure-of-arrays: the hot
 // per-op scalars (kind, unit, orig, addr) live in dense parallel arrays,
 // and the variable-length adjacency (dependence sources, completion-edge
 // and fill-edge consumers, per-unit streams) is CSR-flattened into
@@ -67,12 +75,17 @@ type Program struct {
 	// Name identifies the program (workload + machine lowering).
 	Name string
 	// Ops is the operation stream in global program order (authoring
-	// format; the simulator reads the SoA slabs below instead).
+	// format; the simulator reads the SoA slabs below instead). It must
+	// not change after NewProgram: the slabs are compiled from it on the
+	// first run, and validation is not repeated then.
 	Ops []Op
 	// NumUnits is the number of cores the ops reference (1 or 2).
 	NumUnits int
 	// TraceLen is the length of the originating trace (for IPC reporting).
 	TraceLen int
+
+	// once guards compile; every field below is written only by build.
+	once sync.Once
 
 	// SoA scalar slabs, indexed by op.
 	kinds []isa.OpKind
@@ -102,13 +115,63 @@ type Program struct {
 	posInStream []int32
 }
 
-// NewProgram validates ops and precomputes the SoA dependence structure.
+// NewProgram validates ops and returns the program. It allocates only
+// the Program header: the SoA dependence structure is compiled later, on
+// the program's first Run, Stream or DataflowTime (see compile).
 func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error) {
-	if numUnits < 1 {
-		return nil, fmt.Errorf("engine: program %s: numUnits %d < 1", name, numUnits)
+	if err := validate(name, ops, numUnits); err != nil {
+		return nil, err
 	}
+	return &Program{Name: name, Ops: ops, NumUnits: numUnits, TraceLen: traceLen}, nil
+}
+
+// validate checks that every op has a valid kind and unit, that every
+// dependence points strictly backwards, and that exactly the consume ops
+// carry a MemSrc naming a send. It reads ops only and allocates nothing
+// unless it reports an error.
+func validate(name string, ops []Op, numUnits int) error {
+	if numUnits < 1 {
+		return fmt.Errorf("engine: program %s: numUnits %d < 1", name, numUnits)
+	}
+	for i := range ops {
+		op := &ops[i]
+		if !op.Kind.Valid() {
+			return fmt.Errorf("engine: program %s: op %d: invalid kind %d", name, i, op.Kind)
+		}
+		if int(op.Unit) >= numUnits {
+			return fmt.Errorf("engine: program %s: op %d: unit %v out of range (%d units)", name, i, op.Unit, numUnits)
+		}
+		for _, s := range op.Srcs {
+			if s < 0 || s >= int32(i) {
+				return fmt.Errorf("engine: program %s: op %d: src %d not strictly backwards", name, i, s)
+			}
+		}
+		switch {
+		case op.Kind.IsConsume():
+			if op.MemSrc < 0 || op.MemSrc >= int32(i) {
+				return fmt.Errorf("engine: program %s: op %d: consume without valid MemSrc", name, i)
+			}
+			if !ops[op.MemSrc].Kind.IsSend() {
+				return fmt.Errorf("engine: program %s: op %d: MemSrc %d is %v, not a send", name, i, op.MemSrc, ops[op.MemSrc].Kind)
+			}
+		case op.MemSrc != NoDep:
+			return fmt.Errorf("engine: program %s: op %d: MemSrc on non-consume op %v", name, i, op.Kind)
+		}
+	}
+	return nil
+}
+
+// compile builds the SoA dependence structure exactly once. Every reader
+// of the slabs (Sim.Run, Stream, DataflowTime) calls it first; concurrent
+// first callers wait on the one build, and sync.Once orders its writes
+// before every later read. (build is called, not passed as a method
+// value, so daelint's versionkey sees it as reachable from Sim.Run.)
+func (p *Program) compile() { p.once.Do(func() { p.build() }) }
+
+// build repacks the validated op stream into the SoA slabs.
+func (p *Program) build() {
+	ops, numUnits := p.Ops, p.NumUnits
 	n := len(ops)
-	p := &Program{Name: name, Ops: ops, NumUnits: numUnits, TraceLen: traceLen}
 	p.kinds = make([]isa.OpKind, n)
 	p.units = make([]uint8, n)
 	p.flags = make([]uint8, n)
@@ -122,40 +185,22 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 	p.cfOff = make([]int32, n+1)
 	p.streamOff = make([]int32, numUnits+1)
 
-	// Pass 1: validate and count edges. Consumer counts go two slots
-	// right of their producer (a producer always precedes its consumer,
-	// so s+2 <= n): the prefix sum then leaves each list's start one
-	// slot right, where pass 2 advances it to the list's end — which is
-	// the final offset layout, with no separate fill cursors.
+	// Pass 1: count edges. Consumer counts go two slots right of their
+	// producer (a producer always precedes its consumer, so s+2 <= n):
+	// the prefix sum then leaves each list's start one slot right, where
+	// pass 2 advances it to the list's end — which is the final offset
+	// layout, with no separate fill cursors.
 	nSrcs := 0
 	for i := range ops {
 		op := &ops[i]
-		if !op.Kind.Valid() {
-			return nil, fmt.Errorf("engine: program %s: op %d: invalid kind %d", name, i, op.Kind)
-		}
-		if int(op.Unit) >= numUnits {
-			return nil, fmt.Errorf("engine: program %s: op %d: unit %v out of range (%d units)", name, i, op.Unit, numUnits)
-		}
 		for _, s := range op.Srcs {
-			if s < 0 || s >= int32(i) {
-				return nil, fmt.Errorf("engine: program %s: op %d: src %d not strictly backwards", name, i, s)
-			}
 			p.cpOff[s+2]++
-			p.nDeps[i]++
 		}
+		p.nDeps[i] = int32(len(op.Srcs))
 		nSrcs += len(op.Srcs)
-		switch {
-		case op.Kind.IsConsume():
-			if op.MemSrc < 0 || op.MemSrc >= int32(i) {
-				return nil, fmt.Errorf("engine: program %s: op %d: consume without valid MemSrc", name, i)
-			}
-			if !ops[op.MemSrc].Kind.IsSend() {
-				return nil, fmt.Errorf("engine: program %s: op %d: MemSrc %d is %v, not a send", name, i, op.MemSrc, ops[op.MemSrc].Kind)
-			}
+		if op.Kind.IsConsume() {
 			p.cfOff[op.MemSrc+2]++
 			p.nDeps[i]++
-		case op.MemSrc != NoDep:
-			return nil, fmt.Errorf("engine: program %s: op %d: MemSrc on non-consume op %v", name, i, op.Kind)
 		}
 		p.streamOff[int(op.Unit)+1]++
 	}
@@ -215,7 +260,6 @@ func NewProgram(name string, ops []Op, numUnits, traceLen int) (*Program, error)
 		}
 		p.flags[i] = f
 	}
-	return p, nil
 }
 
 // MustProgram is NewProgram but panics on error; used by lowerings that
@@ -235,6 +279,7 @@ func (p *Program) Len() int { return len(p.Ops) }
 //
 //daelint:hotpath
 func (p *Program) Stream(u isa.Unit) []int32 {
+	p.compile() //daelint:hotpath-ok one-time compile on first use; later calls are an atomic load
 	return p.streamDat[p.streamOff[u]:p.streamOff[u+1]]
 }
 
@@ -253,11 +298,13 @@ func (p *Program) plainConsumers(i int32) []int32 { return p.cpDat[p.cpOff[i]:p.
 //daelint:hotpath
 func (p *Program) fillConsumers(i int32) []int32 { return p.cfDat[p.cfOff[i]:p.cfOff[i+1]] }
 
-// KindCounts returns the number of ops of each kind.
+// KindCounts returns the number of ops of each kind. It reads Ops and
+// never compiles the program, so checking a cached Result against it
+// costs no simulator state.
 func (p *Program) KindCounts() [isa.NumOpKinds]int {
 	var c [isa.NumOpKinds]int
-	for _, k := range p.kinds {
-		c[k]++
+	for i := range p.Ops {
+		c[p.Ops[i].Kind]++
 	}
 	return c
 }
@@ -267,6 +314,7 @@ func (p *Program) KindCounts() [isa.NumOpKinds]int {
 // differential memory model. The engine must reach exactly this time when
 // windows and widths are unlimited; tests rely on that.
 func (p *Program) DataflowTime(tm isa.Timing) int64 {
+	p.compile()
 	n := len(p.kinds)
 	done := make([]int64, n)
 	fill := make([]int64, n)

@@ -178,7 +178,9 @@ func (s *Sim) wake(p *Program, i int32) {
 
 // Run executes the program under the configuration and returns
 // statistics. Runs are deterministic: identical inputs produce identical
-// results, regardless of which (or how warm a) Sim executes them.
+// results, regardless of which (or how warm a) Sim executes them. The
+// first Run of a program compiles its slabs (see Program); concurrent
+// first runs wait on that one build.
 //
 // The cycle loop is: fire due events; dispatch in program order per
 // core; issue oldest-first per core; sample ESW/slippage; advance time,
@@ -203,6 +205,7 @@ func (s *Sim) Run(p *Program, cfg Config) (*Result, error) {
 	if n == 0 {
 		return res, nil
 	}
+	p.compile() //daelint:hotpath-ok one-time compile on the program's first run; later runs pay an atomic load
 	if cfg.Mem != nil {
 		cfg.Mem.Reset() //daelint:hotpath-ok once per run; MemModel is an external interface, not auditable
 	}

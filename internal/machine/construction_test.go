@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"daesim/internal/partition"
@@ -56,6 +57,12 @@ func TestGoldenFingerprints(t *testing.T) {
 // number of instructions (about 100 for TRFD at scale 1).
 const suiteAllocBudget = 1000
 
+// suiteByteBudget bounds the bytes allocated building MDG's trace and
+// suite and fingerprinting it — the whole cost of a warm cache hit
+// before any Result is read. The engine compiles its simulator slabs on
+// a program's first run, not at lowering, so none of them are in here.
+const suiteByteBudget = 8 << 20
+
 func TestSuiteConstructionAllocBudget(t *testing.T) {
 	for _, name := range []string{"MDG", "TRFD", "spec:seed=7"} {
 		allocs := testing.AllocsPerRun(2, func() {
@@ -70,5 +77,21 @@ func TestSuiteConstructionAllocBudget(t *testing.T) {
 		if allocs > suiteAllocBudget {
 			t.Errorf("%s: building the trace and suite took %.0f allocations, budget %d", name, allocs, suiteAllocBudget)
 		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := workloads.Build("MDG", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSuite(tr, partition.Classic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Fingerprint()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > suiteByteBudget {
+		t.Errorf("MDG: building, lowering and fingerprinting allocated %.2f MB, budget %.0f MB", float64(b)/(1<<20), float64(suiteByteBudget)/(1<<20))
 	}
 }
