@@ -229,12 +229,14 @@ func BenchmarkFigure6(b *testing.B) { benchFigure(b, "TRACK") }
 
 func benchRatioFigure(b *testing.B, workload string) {
 	var ratio float64
+	var sims int64
 	for i := 0; i < b.N; i++ {
 		ctx := experiments.NewContext()
 		res, err := ctx.RatioFigure(workload)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sims += ctx.CacheStats().Sims
 		md60 := res.Series[len(res.Series)-1]
 		// Ratio at the realistic DM window of 60 slots.
 		for j, x := range md60.X {
@@ -244,10 +246,12 @@ func benchRatioFigure(b *testing.B, workload string) {
 		}
 	}
 	b.ReportMetric(ratio, "ratio@w60,md60")
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }
 
 // BenchmarkFigure7 regenerates Figure 7 (FLO52Q equivalent window ratio)
-// and reports the MD=60 ratio at a 60-slot DM window.
+// and reports the MD=60 ratio at a 60-slot DM window and the
+// simulations the figure ran.
 func BenchmarkFigure7(b *testing.B) { benchRatioFigure(b, "FLO52Q") }
 
 // BenchmarkFigure8 regenerates Figure 8 (MDG equivalent window ratio).
@@ -273,13 +277,17 @@ func BenchmarkAblationSplit(b *testing.B) {
 // BenchmarkEquivalentWindowSearch measures one Figure 7-9 search step:
 // finding the SWSM window matching a DM configuration. A fresh Runner
 // per iteration keeps the measurement honest: nothing is memoized across
-// iterations, so the number reflects a full cold search.
+// iterations, so the number reflects a full cold search. sims/op is the
+// number of probes the search simulated.
 func BenchmarkEquivalentWindowSearch(b *testing.B) {
 	flo, _ := suites(b)
+	var sims int64
 	for i := 0; i < b.N; i++ {
 		r := daesim.NewRunner(flo)
 		if _, _, err := daesim.EquivalentWindowRatio(r, daesim.Params{Window: 50, MD: 60}); err != nil {
 			b.Fatal(err)
 		}
+		sims += r.Stats().Sims
 	}
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }

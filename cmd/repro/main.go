@@ -169,7 +169,7 @@ func main() {
 	exp := flag.String("exp", "all", expFlagHelp())
 	workload := flag.String("workload", "", "with -exp fig4..fig9, sweep this workload instead of the paper's (catalog name or spec:depth=...; see internal/workgen)")
 	list := flag.Bool("list", false, "list the workload registry in canonical order and exit")
-	par := flag.Int("par", 0, "max concurrent simulations per sweep and search (0 = GOMAXPROCS)")
+	par := flag.Int("par", 0, "max concurrent simulations per sweep, and max concurrent searches (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "persistent result-cache directory (empty = cache disabled)")
 	cacheClear := flag.Bool("cache-clear", false, "empty the persistent cache before running")
 	cacheStats := flag.String("cache-stats", "", "write cache hit/miss statistics as JSON to this file")

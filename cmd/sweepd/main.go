@@ -61,7 +61,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8077", "listen address")
 		cacheDir   = flag.String("cache", "", "persistent result-cache directory (empty = memory only)")
-		par        = flag.Int("par", 0, "max concurrent simulations per sweep and search (0 = GOMAXPROCS)")
+		par        = flag.Int("par", 0, "max concurrent simulations per sweep, and max concurrent searches (0 = GOMAXPROCS)")
 		maxConc    = flag.Int("max-concurrent", 0, "max simulation requests executing at once (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "per-request timeout, queue wait included (0 = none)")
 		gcSpec     = flag.String("gc", "", "background store GC policy, e.g. max-entries=5000,max-bytes=256mb,max-age=168h (empty = no background GC)")

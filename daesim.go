@@ -172,8 +172,8 @@ func DefaultTiming(md int) Timing { return isa.DefaultTiming(md) }
 
 // Sweeping and searching. A Runner executes simulation points against
 // one suite, in parallel, memoizing results so overlapping sweeps do not
-// re-simulate; a Search runs the speculative-parallel equivalent-window
-// and crossover searches against a Runner on a warm scratch pool. A
+// re-simulate; a Search runs the wave-structured equivalent-window and
+// crossover searches against a Runner on one warm scratch context. A
 // Store adds a persistent on-disk layer behind a Runner's in-memory
 // cache: results survive process restarts, keyed by engine version,
 // workload content fingerprint and canonical parameters, so re-runs skip
@@ -242,7 +242,8 @@ func NewRunner(s *Suite) *Runner { return sweep.NewRunner(s) }
 func OpenStore(dir string) (*Store, error) { return sweep.OpenStore(dir) }
 
 // NewSearch returns a Search against the runner. Hold one per sweep so
-// its per-worker scratch contexts stay warm across search points.
+// its scratch context stays warm across search points. A Search is not
+// safe for concurrent use: give each goroutine its own.
 func NewSearch(r *Runner) *Search { return metrics.NewSearch(r) }
 
 // ParseGCPolicy parses a comma-separated Store GC bound list, e.g.

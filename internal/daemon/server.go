@@ -27,8 +27,8 @@ type Config struct {
 	// Store is the shared persistent result cache (L2) behind every
 	// runner the daemon builds; nil serves from memory only.
 	Store *sweep.Store
-	// Parallelism caps each runner's worker pool and search fan-out
-	// (0 = GOMAXPROCS).
+	// Parallelism caps each runner's worker pool and the number of
+	// searches one batch runs at once (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
 	// (run/sweep/search); excess requests queue until a slot frees or
@@ -464,16 +464,10 @@ func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, i
 }
 
 // execSearch runs one validated search. Each call owns its Search (a
-// Search parallelizes internally but is not safe for concurrent use);
+// Search runs its probes in order and is not safe for concurrent use);
 // probes still share the runner's caches with every other request.
-// searchPar, when positive, caps the Search's internal probe fan-out —
-// batch execution splits the pool budget across concurrent searches so
-// a batch never multiplies into Parallelism² workers. The cap cannot
-// change the answer: the probe sequence is parallelism-independent
-// (metrics.Search).
-func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest, searchPar int) (SearchResponse, error) {
+func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest) (SearchResponse, error) {
 	search := metrics.NewSearch(runner)
-	search.Parallelism = searchPar
 	var resp SearchResponse
 	var err error
 	switch req.Op {
@@ -498,7 +492,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	resp, err := execSearch(runner, p, req, 0)
+	resp, err := execSearch(runner, p, req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -595,22 +589,15 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 		runners[i], params[i] = runner, p
 	}
 	// Independent searches fan out across the pool; each owns its
-	// Search, and all probes coalesce in the runners' caches. The pool
-	// budget is split between the two layers — par concurrent searches,
-	// each with a slice of the pool for its probe waves (slightly
-	// overcommitted, like experiments.RatioFigure) — so one batch never
-	// multiplies into Parallelism² simulation workers.
-	pool := s.cfg.Parallelism
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
+	// Search, runs its probes in order, and all probes coalesce in the
+	// runners' caches, so one batch runs at most Parallelism
+	// simulations at once.
+	par := s.cfg.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	par := pool
 	if par > len(req.Items) {
 		par = len(req.Items)
-	}
-	searchPar := 2 * pool / len(req.Items)
-	if searchPar < 1 {
-		searchPar = 1
 	}
 	start := time.Now()
 	results := make([]SearchResponse, len(req.Items))
@@ -622,7 +609,7 @@ func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = execSearch(runners[i], params[i], req.Items[i], searchPar)
+				results[i], errs[i] = execSearch(runners[i], params[i], req.Items[i])
 			}
 		}()
 	}

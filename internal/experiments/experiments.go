@@ -33,7 +33,8 @@ type Context struct {
 	// Policy is the AU/DU partition policy (default Classic).
 	Policy partition.Policy
 	// Parallelism caps each workload runner's concurrent simulations and
-	// the equivalent-window search fan-out (0 = GOMAXPROCS).
+	// the number of equivalent-window searches run at once (0 =
+	// GOMAXPROCS).
 	Parallelism int
 	// Cache, when non-nil, is the persistent result store handed to every
 	// workload runner: simulation results survive process restarts and are
@@ -394,92 +395,88 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}
-	res.Series = make([]sweep.Series, len(RatioMDs))
+	// answers[mi*len(RatioWindows)+wi] is the search at (RatioMDs[mi],
+	// RatioWindows[wi]); the result is assembled from it in that order,
+	// whatever order the searches finish in.
+	nw := len(RatioWindows)
+	answers := make([]RatioAnswer, len(RatioMDs)*nw)
+	// localPoint measures one point through the local search path. Every
+	// probe routes through the shared Runner, so searches share memoized
+	// DM anchors and SWSM probes with each other and with other sweeps,
+	// and the Runner's single-flight L1 simulates a probe two concurrent
+	// searches need only once.
+	localPoint := func(search *metrics.Search, i int) error {
+		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: RatioWindows[i%nw], MD: RatioMDs[i/nw]})
+		answers[i] = RatioAnswer{Ratio: ratio, OK: ok}
+		return err
+	}
 	par := c.par()
-	var mu sync.Mutex // guards res.Saturated
-	// localCurve measures one MD curve through the local search path.
-	// Every probe routes through the shared Runner, so curves share
-	// memoized DM anchors and SWSM probes with each other and with
-	// other sweeps. Each curve's probe fan-out gets a slice of the
-	// pool; the division overcommits slightly (searches spend time
-	// between waves) rather than letting finished curves idle the pool.
-	searchPar := 2 * par / len(RatioMDs)
-	if searchPar < 1 {
-		searchPar = 1
-	}
-	localCurve := func(mi int) error {
-		md := RatioMDs[mi]
-		search := metrics.NewSearch(r)
-		search.Parallelism = searchPar
-		s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
-		for _, w := range RatioWindows {
-			ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: w, MD: md})
-			if err != nil {
-				return err
-			}
-			if !ok {
-				mu.Lock()
-				res.Saturated[md] = append(res.Saturated[md], w)
-				mu.Unlock()
-				continue
-			}
-			s.X = append(s.X, float64(w))
-			s.Y = append(s.Y, ratio)
-		}
-		res.Series[mi] = s
-		return nil
-	}
-	// With a remote search service attached, each MD curve travels as
-	// one server-side batch: the daemon runs the same deterministic
-	// searches over its own shared cache, so a whole figure costs a few
-	// round trips instead of one per probe wave — and the values are
-	// identical to the local path by construction. A curve whose owners
-	// are all unavailable falls back to localCurve wholesale when
-	// Degrade is set: the probes then flow through the runner, whose
-	// own Degrade fallback absorbs any remaining point-level outage.
 	if c.RemoteSearch != nil {
+		// With a remote search service attached, each MD curve travels
+		// as one server-side batch: the daemon runs the same
+		// deterministic searches over its own shared cache, so a whole
+		// figure costs a few round trips instead of one per probe wave
+		// — and the values are identical to the local path by
+		// construction. A curve whose owners are all unavailable falls
+		// back to local searches wholesale when Degrade is set: the
+		// probes then flow through the runner, whose own Degrade
+		// fallback absorbs any remaining point-level outage.
 		fp := r.Suite.Fingerprint()
 		if err := forEach(par, len(RatioMDs), func(mi int) error {
-			md := RatioMDs[mi]
-			params := make([]machine.Params, len(RatioWindows))
+			params := make([]machine.Params, nw)
 			for wi, w := range RatioWindows {
-				params[wi] = machine.Params{Window: w, MD: md}
+				params[wi] = machine.Params{Window: w, MD: RatioMDs[mi]}
 			}
-			answers, err := c.RemoteSearch(name, c.Scale, fp, params)
+			got, err := c.RemoteSearch(name, c.Scale, fp, params)
 			if err != nil {
 				if c.Degrade && errors.Is(err, sweep.ErrUnavailable) {
-					return localCurve(mi)
+					search := metrics.NewSearch(r)
+					for i := mi * nw; i < (mi+1)*nw; i++ {
+						if err := localPoint(search, i); err != nil {
+							return err
+						}
+					}
+					return nil
 				}
 				return err
 			}
-			if len(answers) != len(params) {
-				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(answers), len(params))
+			if len(got) != len(params) {
+				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
 			}
-			s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
-			for wi, a := range answers {
-				if !a.OK {
-					mu.Lock()
-					res.Saturated[md] = append(res.Saturated[md], RatioWindows[wi])
-					mu.Unlock()
-					continue
-				}
-				s.X = append(s.X, float64(RatioWindows[wi]))
-				s.Y = append(s.Y, a.Ratio)
-			}
-			res.Series[mi] = s
+			copy(answers[mi*nw:], got)
 			c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		return res, nil
+	} else {
+		// Every (MD, window) search is independent, so all of them fan
+		// out across the pool, one Search (and one warm scratch) per
+		// worker: a Search runs its own probes in order and is not safe
+		// for concurrent use.
+		searches := make([]*metrics.Search, par)
+		if err := forEachWorker(par, len(answers), func(wk, i int) error {
+			if searches[wk] == nil {
+				searches[wk] = metrics.NewSearch(r)
+			}
+			return localPoint(searches[wk], i)
+		}); err != nil {
+			return nil, err
+		}
 	}
-	// The MD curves are independent, so they fan out across the pool:
-	// one goroutine and one Search per curve (a Search parallelizes
-	// internally but is not safe for concurrent use).
-	if err := forEach(par, len(RatioMDs), localCurve); err != nil {
-		return nil, err
+	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}
+	res.Series = make([]sweep.Series, len(RatioMDs))
+	for mi, md := range RatioMDs {
+		s := sweep.Series{Name: fmt.Sprintf("md=%d", md)}
+		for wi, w := range RatioWindows {
+			if a := answers[mi*nw+wi]; a.OK {
+				s.X = append(s.X, float64(w))
+				s.Y = append(s.Y, a.Ratio)
+			} else {
+				res.Saturated[md] = append(res.Saturated[md], w)
+			}
+		}
+		res.Series[mi] = s
 	}
 	return res, nil
 }

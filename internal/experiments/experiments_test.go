@@ -6,6 +6,7 @@ package experiments
 // paper's story. EXPERIMENTS.md records the quantitative details.
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -520,5 +521,43 @@ func TestWriteAll(t *testing.T) {
 	// cache + complexity.
 	if len(files) != 22 {
 		t.Errorf("want 22 artifact files, got %d", len(files))
+	}
+}
+
+// figure7Sims is the number of simulations a fresh Context runs to
+// render Figure 7: the distinct probes of its 70 equivalent-window
+// searches, each simulated once whatever the parallelism. A local search
+// runs each probe wave in order and stops at the first probe that meets
+// its target, so the count is a pure function of the search inputs.
+// Re-pin it only together with a deliberate engine.Version bump (a
+// model change moves the probe results and with them the probe set);
+// any other change to it means the search now simulates probes it never
+// reads, or skips probes it should.
+const figure7Sims = 535
+
+// TestRatioFigureSimCount pins Figure 7's simulation count and its
+// values across Context.Parallelism.
+func TestRatioFigureSimCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalent-window searches are slow")
+	}
+	var want *RatioResult
+	for _, par := range []int{1, 4} {
+		c := NewContext()
+		c.Parallelism = par
+		res, err := c.RatioFigure("FLO52Q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sims := c.CacheStats().Sims; sims != figure7Sims {
+			t.Errorf("par=%d: Figure 7 ran %d simulations, want %d", par, sims, figure7Sims)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Series, want.Series) || !reflect.DeepEqual(res.Saturated, want.Saturated) {
+			t.Errorf("par=%d: Figure 7 differs from par=1's", par)
+		}
 	}
 }

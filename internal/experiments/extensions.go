@@ -303,32 +303,40 @@ type ComplexityResult struct {
 }
 
 // ComplexityStudy evaluates clock-adjusted equivalent windows at MD=60.
+// Its nine searches are independent and fan out across the pool, one
+// Search per task; rows keep the (workload, window) order.
 func (c *Context) ComplexityStudy() (*ComplexityResult, error) {
-	res := &ComplexityResult{MD: ablationMD}
 	model := metrics.DefaultDelayModel
-	for _, name := range workloads.FigureNames() {
+	names := workloads.FigureNames()
+	windows := []int{32, 64, 100}
+	rows := make([]*ComplexityRow, len(names)*len(windows)) // nil: saturated
+	if err := forEach(c.par(), len(rows), func(i int) error {
+		name, w := names[i/len(windows)], windows[i%len(windows)]
 		r, err := c.Runner(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		search := metrics.NewSearch(r)
-		for _, w := range []int{32, 64, 100} {
-			dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: ablationMD}})
-			if err != nil {
-				return nil, err
-			}
-			eq, ok, err := search.EquivalentWindow(machine.Params{Window: w, MD: ablationMD, MemQueue: machine.QueueFactor * w}, dm.Cycles)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			res.Rows = append(res.Rows, ComplexityRow{
-				Name: name, DMWindow: w, EqWindow: eq,
-				Ratio:        float64(eq) / float64(w),
-				ClockPenalty: model.ClockAdjustedAdvantage(w, isa.DefaultDUWidth, eq, isa.DefaultSWSMWidth),
-			})
+		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: ablationMD}})
+		if err != nil {
+			return err
+		}
+		eq, ok, err := metrics.NewSearch(r).EquivalentWindow(machine.Params{Window: w, MD: ablationMD, MemQueue: machine.QueueFactor * w}, dm.Cycles)
+		if err != nil || !ok {
+			return err
+		}
+		rows[i] = &ComplexityRow{
+			Name: name, DMWindow: w, EqWindow: eq,
+			Ratio:        float64(eq) / float64(w),
+			ClockPenalty: model.ClockAdjustedAdvantage(w, isa.DefaultDUWidth, eq, isa.DefaultSWSMWidth),
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	res := &ComplexityResult{MD: ablationMD}
+	for _, row := range rows {
+		if row != nil {
+			res.Rows = append(res.Rows, *row)
 		}
 	}
 	return res, nil

@@ -13,12 +13,19 @@ import (
 // not-yet-started tasks (in-flight ones finish), so a bad point does not
 // burn the rest of a large sweep before the error surfaces.
 func forEach(par, n int, fn func(i int) error) error {
+	return forEachWorker(par, n, func(_, i int) error { return fn(i) })
+}
+
+// forEachWorker is forEach that also tells fn which worker runs task i:
+// worker is in [0, par) and no two tasks run on one worker at once, so
+// fn may keep per-worker state (a metrics.Search) in a slice of par.
+func forEachWorker(par, n int, fn func(worker, i int) error) error {
 	if par <= 0 || par > n {
 		par = n
 	}
 	if par <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -36,7 +43,7 @@ func forEach(par, n int, fn func(i int) error) error {
 				if failed.Load() {
 					continue
 				}
-				if errs[i] = fn(i); errs[i] != nil {
+				if errs[i] = fn(w, i); errs[i] != nil {
 					failed.Store(true)
 				}
 			}

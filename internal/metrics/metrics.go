@@ -4,15 +4,14 @@
 // the MD=0 crossover window.
 //
 // The equivalent-window searches route every probe through a
-// sweep.Runner, so overlapping figure sweeps share memoized results, and
-// fan independent probes out across a bounded worker pool of
-// per-goroutine engine.Sim scratches (see Search).
+// sweep.Runner, so overlapping figure sweeps share memoized results.
+// A local search runs each probe wave in order on one warm engine.Sim
+// scratch and stops at the first probe it acts on; a batch-capable
+// remote runner gets each whole wave in one round trip (see Search).
 package metrics
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"daesim/internal/engine"
 	"daesim/internal/machine"
@@ -136,139 +135,106 @@ func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err e
 }
 
 // Search runs equivalent-window and crossover searches against one
-// sweep.Runner. It owns a pool of per-goroutine engine.Sim scratch
-// contexts that stay warm across calls, so a figure sweep of many search
+// sweep.Runner. It owns one engine.Sim scratch context, created on first
+// use, that stays warm across calls, so a figure sweep of many search
 // points does not cold-start scratch on every point, and its probes are
 // memoized by the Runner, so overlapping sweeps (WindowSweep curves, the
 // other MD curves of a ratio figure) share results.
 //
-// The search is speculative and wave-structured: the exponential
-// bracket ladder is evaluated as one wave, then each refinement layer
-// probes kSectionWidth interior points at once (k-section), trading
-// redundant simulations for wall-clock depth. The wave contents are a
-// pure function of the hint and the probe results — never of
-// Parallelism, GOMAXPROCS, or where the probes execute — so a search
-// returns the same window on a laptop, a CI runner, and a sweepd fleet
+// The search is wave-structured: the exponential bracket ladder is
+// staged in waves of ladderStage rungs, then each refinement layer
+// probes kSectionWidth interior points (k-section). The wave contents
+// are a pure function of the hint and the probe results — never of
+// GOMAXPROCS or where the probes execute — so a search returns the same
+// window on a laptop, a CI runner, and a sweepd fleet
 // (TestSearchDeterministicAcrossParallelism), and byte-identity between
 // local and remote reproductions is structural rather than lucky.
-// Parallelism only chooses how a wave is executed: fanned across
-// per-goroutine scratches, serially on one, or — when the Runner has a
-// RemoteBatch hook — as a single batched round trip per wave, which is
-// what collapses a remote search's request count (DESIGN.md §11).
-// Points carrying a custom Params.Mem fall back to a serial adaptive
-// path: stateful memory models are not safe to probe concurrently (or
-// remotely).
+// Execution has two strategies (evalWave): a Runner with a RemoteBatch
+// hook ships each whole wave in one round trip, which is what collapses
+// a remote search's request count (DESIGN.md §11); otherwise the wave
+// runs in order on the scratch and stops at its deciding probe, the
+// first one the search acts on. Points carrying a custom Params.Mem keep
+// the adaptive searchFrom path: its answers are pinned by the serial
+// probe order it has always had, and moving them waits for an
+// exact-crossing oracle. They never route remotely.
 //
-// A Search is not safe for concurrent use by multiple goroutines; it
-// parallelizes internally.
+// A Search is not safe for concurrent use by multiple goroutines;
+// callers fan independent searches out with one Search per goroutine.
 type Search struct {
 	// Runner executes and memoizes the probes.
 	Runner *sweep.Runner
-	// Parallelism bounds the probe fan-out (0: the Runner's Parallelism,
-	// else GOMAXPROCS).
-	Parallelism int
 
-	sims []*engine.Sim
+	sim *engine.Sim
 }
 
 // NewSearch returns a Search against the runner.
 func NewSearch(r *sweep.Runner) *Search { return &Search{Runner: r} }
 
-func (s *Search) par() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
+// scratch returns the search's warm scratch context.
+func (s *Search) scratch() *engine.Sim {
+	if s.sim == nil {
+		s.sim = engine.NewSim()
 	}
-	if s.Runner != nil && s.Runner.Parallelism > 0 {
-		return s.Runner.Parallelism
-	}
-	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; the wave ladder places every probe by step index
+	return s.sim
 }
 
-// sim returns the i'th warm scratch context, growing the pool on demand.
-func (s *Search) sim(i int) *engine.Sim {
-	for len(s.sims) <= i {
-		s.sims = append(s.sims, engine.NewSim())
-	}
-	return s.sims[i]
-}
-
-// probe runs the SWSM at window w on the given scratch, memoized.
-func (s *Search) probe(sim *engine.Sim, p machine.Params, w int) (int64, error) {
+// probe runs the SWSM at window w, memoized.
+func (s *Search) probe(p machine.Params, w int) (int64, error) {
 	q := p
 	q.Window = w
-	r, err := s.Runner.RunWith(sim, sweep.Point{Kind: machine.SWSM, P: q})
+	r, err := s.Runner.RunWith(s.scratch(), sweep.Point{Kind: machine.SWSM, P: q})
 	if err != nil {
 		return 0, err
 	}
 	return r.Cycles, nil
 }
 
-// evalWave evaluates one wave of points. The wave's results do not
-// depend on the execution strategy: a batched remote round trip when
-// the Runner has one, else a fan across the worker pool (each worker
-// owning one scratch context), else a serial loop.
-func (s *Search) evalWave(pts []sweep.Point) ([]int64, error) {
-	times := make([]int64, len(pts))
+// evalWave evaluates one wave of points and returns the times of an
+// evaluated prefix. A Runner with a RemoteBatch hook ships the whole
+// wave in one round trip. Otherwise the points run in order and the
+// wave stops at its deciding probe — the first whose time is at most
+// target — because ladderSearch and refine read no probe after it. When
+// anchored, pts[0] is the ratio search's DM anchor: it runs first and
+// its time becomes the target. Either way the search takes the same
+// path, so the strategy never changes an answer.
+func (s *Search) evalWave(pts []sweep.Point, target int64, anchored bool) ([]int64, error) {
 	if s.Runner.RemoteBatch != nil {
 		results, err := s.Runner.RunBatch(pts)
 		if err != nil {
 			return nil, err
 		}
+		times := make([]int64, len(results))
 		for i, r := range results {
 			times[i] = r.Cycles
 		}
 		return times, nil
 	}
-	par := s.par()
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par <= 1 {
-		sim := s.sim(0)
-		for i, pt := range pts {
-			r, err := s.Runner.RunWith(sim, pt)
-			if err != nil {
-				return nil, err
-			}
-			times[i] = r.Cycles
-		}
-		return times, nil
-	}
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		sim := s.sim(g)
-		wg.Add(1)
-		go func(g int, sim *engine.Sim) {
-			defer wg.Done()
-			for i := g; i < len(pts); i += par {
-				r, err := s.Runner.RunWith(sim, pts[i])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				times[i] = r.Cycles
-			}
-		}(g, sim)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	times := make([]int64, 0, len(pts))
+	for i, pt := range pts {
+		r, err := s.Runner.RunWith(s.scratch(), pt)
 		if err != nil {
 			return nil, err
+		}
+		times = append(times, r.Cycles)
+		if anchored && i == 0 {
+			target = r.Cycles
+		} else if r.Cycles <= target {
+			break
 		}
 	}
 	return times, nil
 }
 
-// evalBatch evaluates the SWSM time at every window in ws as one wave.
-func (s *Search) evalBatch(p machine.Params, ws []int) ([]int64, error) {
+// evalBatch evaluates the SWSM time at the windows in ws as one wave
+// and returns the times of the evaluated prefix (see evalWave).
+func (s *Search) evalBatch(p machine.Params, ws []int, target int64) ([]int64, error) {
 	pts := make([]sweep.Point, len(ws))
 	for i, w := range ws {
 		q := p
 		q.Window = w
 		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
 	}
-	return s.evalWave(pts)
+	return s.evalWave(pts, target, false)
 }
 
 // EquivalentWindow returns the smallest SWSM window (running the suite
@@ -281,23 +247,22 @@ func (s *Search) evalBatch(p machine.Params, ws []int) ([]int64, error) {
 // engine satisfies up to small Graham anomalies (DESIGN.md §3). Inside
 // an anomaly wobble band the boundary is ambiguous and the returned
 // window depends on the probe path — but the probe path is a pure
-// function of the hint and the probe results, never of Parallelism or
-// execution placement (the Search doc has the contract), so the answer
+// function of the hint and the probe results, never of execution
+// placement (the Search doc has the contract), so the answer
 // is reproducible everywhere and always satisfies
 // t(w) <= target < t(w-1). Only the hint can steer which boundary of a
 // wobble band is reported.
 func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, ok bool, err error) {
 	hint := clampHint(p.Window)
 	if p.Mem != nil {
-		sim := s.sim(0)
-		return searchFrom(func(w int) (int64, error) { return s.probe(sim, p, w) }, target, hint)
+		return searchFrom(func(w int) (int64, error) { return s.probe(p, w) }, target, hint)
 	}
 	ladder := ladderWindows(hint)
 	end := ladderStage
 	if end > len(ladder) {
 		end = len(ladder)
 	}
-	times, err := s.evalBatch(p, ladder[:end])
+	times, err := s.evalBatch(p, ladder[:end], target)
 	if err != nil {
 		return 0, false, err
 	}
@@ -309,9 +274,9 @@ func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, o
 // wave contents define the search's answer path, and that path must be
 // identical everywhere for local, remote, and differently-sized hosts
 // to agree bit-for-bit on figure values. 4 shrinks a bracket 5x per
-// wave — 2-3 waves for figure-scale brackets — while keeping the
-// redundant-probe overhead on serial hosts within ~20% of the old
-// adaptive search (measured on repro -exp all).
+// wave — 2-3 waves for figure-scale brackets. A local search simulates
+// no interior point past its wave's deciding probe; only a batched
+// remote wave does.
 const kSectionWidth = 4
 
 // clampHint bounds a bracket hint to [1, MaxEquivalentWindow].
@@ -363,7 +328,7 @@ func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, time
 		if end > len(ladder) {
 			end = len(ladder)
 		}
-		chunk, err := s.evalBatch(p, ladder[len(times):end])
+		chunk, err := s.evalBatch(p, ladder[len(times):end], target)
 		if err != nil {
 			return 0, false, err
 		}
@@ -407,7 +372,7 @@ func (s *Search) refine(p machine.Params, target int64, ladder []int, times []in
 		if len(xs) == 0 {
 			xs = append(xs, lo+span/2)
 		}
-		times, err := s.evalBatch(p, xs)
+		times, err := s.evalBatch(p, xs, target)
 		if err != nil {
 			return 0, false, err
 		}
@@ -444,7 +409,7 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
 	}
 	if p.Mem != nil {
-		dm, err := s.Runner.RunWith(s.sim(0), sweep.Point{Kind: machine.DM, P: p})
+		dm, err := s.Runner.RunWith(s.scratch(), sweep.Point{Kind: machine.DM, P: p})
 		if err != nil {
 			return 0, false, err
 		}
@@ -456,8 +421,9 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 	}
 	// The DM anchor rides in the first wave with the first ladder stage:
 	// the ladder's contents depend only on the hint, not on the target,
-	// so nothing forces the anchor to resolve first — and folding it in
-	// saves a remote search one full round trip per ratio point.
+	// so folding the anchor in saves a remote search one full round trip
+	// per ratio point. A local wave runs the anchor first, and its time
+	// decides where the rungs stop.
 	hint := clampHint(p.Window)
 	ladder := ladderWindows(hint)
 	end := ladderStage
@@ -471,7 +437,7 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 		q.Window = w
 		pts = append(pts, sweep.Point{Kind: machine.SWSM, P: q})
 	}
-	times, err := s.evalWave(pts)
+	times, err := s.evalWave(pts, 0, true)
 	if err != nil {
 		return 0, false, err
 	}
@@ -489,7 +455,7 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 // one warm scratch, so a crossover scan over windows another sweep
 // already visited costs nothing.
 func (s *Search) Crossover(p machine.Params, windows []int) (window int, ok bool, err error) {
-	sim := s.sim(0)
+	sim := s.scratch()
 	for _, w := range windows {
 		q := p
 		q.Window = w
@@ -509,8 +475,8 @@ func (s *Search) Crossover(p machine.Params, windows []int) (window int, ok bool
 }
 
 // EquivalentWindow is Search.EquivalentWindow on a one-shot Search
-// against r. Callers evaluating many points should hold a Search so the
-// scratch pool stays warm.
+// against r. Callers evaluating many points should hold a Search so its
+// scratch stays warm.
 func EquivalentWindow(r *sweep.Runner, p machine.Params, target int64) (window int, ok bool, err error) {
 	return NewSearch(r).EquivalentWindow(p, target)
 }

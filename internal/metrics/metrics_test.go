@@ -127,19 +127,30 @@ func TestEquivalentWindowAgainstSuite(t *testing.T) {
 	}
 }
 
-// TestSearchParallelMatchesSerial pins the speculative-parallel search
-// against the serial path on a small figure grid. Simulated time is not
-// perfectly monotone in window size (Graham anomalies), so the two
-// probe paths may legally land on different boundaries of an anomaly
-// wobble band; the contract both must satisfy is boundary validity —
-// t(w) <= target < t(w-1) — plus agreement on ok. Run under -race this
-// also exercises the worker pool for data races (the CI race job does).
+// batchedRunner returns a runner whose probe waves all travel through a
+// RemoteBatch hook executed by a separate runner (the remote path), and
+// that executing runner.
+func batchedRunner(s *machine.Suite) (batched, exec *sweep.Runner) {
+	exec = sweep.NewRunner(s)
+	batched = sweep.NewRunner(s)
+	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) { return exec.RunAll(pts) }
+	return batched, exec
+}
+
+// TestSearchParallelMatchesSerial pins the local search (each wave run
+// in order, stopping at its deciding probe) against the batched path
+// (each whole wave in one round trip) on a small figure grid. The two
+// read the same probes, so their answers must be equal. Simulated time
+// is not perfectly monotone in window size (Graham anomalies), so the
+// answer may sit on either boundary of an anomaly wobble band; the
+// contract it must satisfy is boundary validity — t(w) <= target <
+// t(w-1). Run under -race this also exercises the batched runner's
+// worker pool for data races (the CI race job does).
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	s := smallSuite(t)
-	serial := NewSearch(sweep.NewRunner(s))
-	serial.Parallelism = 1
-	parallel := NewSearch(sweep.NewRunner(s))
-	parallel.Parallelism = 4
+	local := NewSearch(sweep.NewRunner(s))
+	batchedR, _ := batchedRunner(s)
+	batched := NewSearch(batchedR)
 	probe := func(p machine.Params, w int) int64 {
 		q := p
 		q.Window = w
@@ -157,32 +168,28 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, sok, err := serial.EquivalentWindow(machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}, dm.Cycles)
+			q := machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}
+			lw, lok, err := local.EquivalentWindow(q, dm.Cycles)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pw, pok, err := parallel.EquivalentWindow(machine.Params{Window: w, MD: md, MemQueue: machine.QueueFactor * w}, dm.Cycles)
+			bw, bok, err := batched.EquivalentWindow(q, dm.Cycles)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sok != pok {
-				t.Errorf("md=%d w=%d: ok mismatch: serial %v, parallel %v", md, w, sok, pok)
+			if lw != bw || lok != bok {
+				t.Errorf("md=%d w=%d: local (%d, %v) differs from batched (%d, %v)", md, w, lw, lok, bw, bok)
 				continue
 			}
-			if !sok {
+			if !lok {
 				continue
 			}
-			for _, got := range []struct {
-				name string
-				w    int
-			}{{"serial", sw}, {"parallel", pw}} {
-				if c := probe(p, got.w); c > dm.Cycles {
-					t.Errorf("md=%d w=%d: %s window %d misses target (%d > %d)", md, w, got.name, got.w, c, dm.Cycles)
-				}
-				if got.w > 1 {
-					if c := probe(p, got.w-1); c <= dm.Cycles {
-						t.Errorf("md=%d w=%d: %s window %d is not a boundary (t(w-1)=%d <= %d)", md, w, got.name, got.w, c, dm.Cycles)
-					}
+			if c := probe(p, lw); c > dm.Cycles {
+				t.Errorf("md=%d w=%d: window %d misses target (%d > %d)", md, w, lw, c, dm.Cycles)
+			}
+			if lw > 1 {
+				if c := probe(p, lw-1); c <= dm.Cycles {
+					t.Errorf("md=%d w=%d: window %d is not a boundary (t(w-1)=%d <= %d)", md, w, lw, c, dm.Cycles)
 				}
 			}
 		}
@@ -191,10 +198,12 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 
 // TestSearchDeterministicAcrossParallelism pins the fleet-era contract
 // the probe waves were redesigned around: the search answer is a pure
-// function of its inputs — never of Parallelism, GOMAXPROCS, or
-// whether probes execute locally or through a batch-capable runner.
-// This is what makes a server-side search byte-identical to a local
-// one by construction (DESIGN.md §11), not merely in practice.
+// function of its inputs — never of the Runner's Parallelism,
+// GOMAXPROCS, or whether probes execute locally or through a
+// batch-capable runner. This is what makes a server-side search
+// byte-identical to a local one by construction (DESIGN.md §11), not
+// merely in practice. Locally the set of simulated probes is a pure
+// function of the inputs too, so the simulation count is as well.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	s := smallSuite(t)
 	dm, err := s.RunDM(machine.Params{Window: 12, MD: 40})
@@ -208,24 +217,30 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		ok bool
 	}
 	var want answer
+	var wantSims int64
 	for i, par := range []int{1, 2, 4, 9} {
-		search := NewSearch(sweep.NewRunner(s))
-		search.Parallelism = par
-		w, ok, err := search.EquivalentWindow(p, dm.Cycles)
+		r := sweep.NewRunner(s)
+		r.Parallelism = par
+		w, ok, err := NewSearch(r).EquivalentWindow(p, dm.Cycles)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sims := r.Stats().Sims
 		if i == 0 {
-			want = answer{w, ok}
+			want, wantSims = answer{w, ok}, sims
 			continue
 		}
 		if (answer{w, ok}) != want {
 			t.Errorf("par=%d: (%d, %v) differs from par=1's (%d, %v)", par, w, ok, want.w, want.ok)
 		}
+		if sims != wantSims {
+			t.Errorf("par=%d: %d simulations, par=1 ran %d", par, sims, wantSims)
+		}
 	}
 
 	// A batch-capable runner (the remote path) probes the same waves and
-	// lands on the same answer; every probe travels through RemoteBatch.
+	// lands on the same answer; every probe travels through RemoteBatch,
+	// and the executing side simulates every probe the local search did.
 	exec := sweep.NewRunner(s)
 	batched := sweep.NewRunner(s)
 	waves := 0
@@ -233,8 +248,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		waves++
 		return exec.RunAll(pts)
 	}
-	search := NewSearch(batched)
-	w, ok, err := search.EquivalentWindow(p, dm.Cycles)
+	w, ok, err := NewSearch(batched).EquivalentWindow(p, dm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +261,10 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	if st := batched.Stats(); st.Sims != 0 {
 		t.Errorf("batch-capable runner simulated %d probes locally", st.Sims)
 	}
-	t.Logf("search resolved in %d remote waves", waves)
+	if got := exec.Stats().Sims; got < wantSims {
+		t.Errorf("batched waves simulated %d probes, fewer than the local search's %d", got, wantSims)
+	}
+	t.Logf("search resolved in %d remote waves; %d local sims, %d batched", waves, wantSims, exec.Stats().Sims)
 
 	// The ratio search folds its DM anchor into the first wave: one
 	// round trip covers anchor plus ladder stage.
@@ -268,6 +285,65 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestLocalSearchStopsAtFirstDecidingProbe: a local search runs each
+// wave in order and stops at the first probe that meets the target,
+// because the search reads nothing after it. Run over the same grid,
+// point by point through a Remote hook and wave by wave through a
+// RemoteBatch hook, the ratio searches must agree, and the point-wise
+// probes must be a strict subset of the batched ones.
+func TestLocalSearchStopsAtFirstDecidingProbe(t *testing.T) {
+	s := smallSuite(t)
+	key := func(pt sweep.Point) string {
+		k, ok := pt.P.CacheKey(pt.Kind)
+		if !ok {
+			t.Fatalf("uncacheable probe %+v", pt)
+		}
+		return k
+	}
+	pointExec := sweep.NewRunner(s)
+	pointwise := sweep.NewRunner(s)
+	pointProbes := map[string]bool{}
+	pointwise.Remote = func(pt sweep.Point) (*engine.Result, error) {
+		pointProbes[key(pt)] = true
+		return pointExec.Run(pt)
+	}
+	batchExec := sweep.NewRunner(s)
+	batched := sweep.NewRunner(s)
+	batchProbes := map[string]bool{}
+	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
+		for _, pt := range pts {
+			batchProbes[key(pt)] = true
+		}
+		return batchExec.RunAll(pts)
+	}
+	pwSearch, bSearch := NewSearch(pointwise), NewSearch(batched)
+	for _, md := range []int{0, 20, 40} {
+		for _, w := range []int{4, 8, 12, 20} {
+			p := machine.Params{Window: w, MD: md}
+			pr, pok, err := pwSearch.EquivalentWindowRatio(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br, bok, err := bSearch.EquivalentWindowRatio(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr != br || pok != bok {
+				t.Errorf("md=%d w=%d: point-wise (%v, %v) differs from batched (%v, %v)", md, w, pr, pok, br, bok)
+			}
+		}
+	}
+	for k := range pointProbes { //daelint:nondeterministic-ok subset check: every key is tested and the order reaches no value
+		if !batchProbes[k] {
+			t.Errorf("point-wise search probed %s, which no batched wave carried", k)
+		}
+	}
+	if len(pointProbes) >= len(batchProbes) {
+		t.Errorf("point-wise search probed %d points, batched %d: local waves should stop at their deciding probe", len(pointProbes), len(batchProbes))
+	}
+	t.Logf("probes: point-wise %d, batched %d", len(pointProbes), len(batchProbes))
+}
+
 // TestEquivalentWindowHintInvariance: the bracket hint (p.Window) must
 // not change the answer, wherever it lands relative to the minimum.
 func TestEquivalentWindowHintInvariance(t *testing.T) {
@@ -282,37 +358,28 @@ func TestEquivalentWindowHintInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		for _, hint := range []int{0, 1, 3, 12, 77, 600, MaxEquivalentWindow, MaxEquivalentWindow + 9} {
-			q := base
-			q.Window = hint
-			search := NewSearch(r)
-			search.Parallelism = par
-			got, ok, err := search.EquivalentWindow(q, dm.Cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want || ok != wantOK {
-				t.Errorf("par=%d hint=%d: got (%d, %v), want (%d, %v)", par, hint, got, ok, want, wantOK)
-			}
+	for _, hint := range []int{0, 1, 3, 12, 77, 600, MaxEquivalentWindow, MaxEquivalentWindow + 9} {
+		q := base
+		q.Window = hint
+		got, ok, err := NewSearch(r).EquivalentWindow(q, dm.Cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || ok != wantOK {
+			t.Errorf("hint=%d: got (%d, %v), want (%d, %v)", hint, got, ok, want, wantOK)
 		}
 	}
 }
 
-// TestSearchSaturates: an unreachable target reports the cap and !ok on
-// both the serial and the parallel path.
+// TestSearchSaturates: an unreachable target reports the cap and !ok.
 func TestSearchSaturates(t *testing.T) {
 	s := smallSuite(t)
-	for _, par := range []int{1, 3} {
-		search := NewSearch(sweep.NewRunner(s))
-		search.Parallelism = par
-		w, ok, err := search.EquivalentWindow(machine.Params{MD: 40, Window: 16}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok || w != MaxEquivalentWindow {
-			t.Fatalf("par=%d: unreachable target gave (%d, %v), want (%d, false)", par, w, ok, MaxEquivalentWindow)
-		}
+	w, ok, err := NewSearch(sweep.NewRunner(s)).EquivalentWindow(machine.Params{MD: 40, Window: 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || w != MaxEquivalentWindow {
+		t.Fatalf("unreachable target gave (%d, %v), want (%d, false)", w, ok, MaxEquivalentWindow)
 	}
 }
 

@@ -102,11 +102,12 @@ func (s CacheStats) HitRate() float64 {
 // Runner executes points against one suite.
 type Runner struct {
 	Suite *machine.Suite
-	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
-	// It caps both RunAll's worker pool and the probe fan-out of the
-	// speculative-parallel equivalent-window searches that run against
-	// this Runner (metrics.Search). Set it to 1 to force every consumer
-	// serial, e.g. for deterministic profiling.
+	// Parallelism bounds the worker pool of RunAll and RunBatch
+	// (default: GOMAXPROCS). Set it to 1 to run them serially, e.g. for
+	// deterministic profiling. It does not bound equivalent-window
+	// searches (metrics.Search): a search runs its probes in order on
+	// its own scratch, and callers that run several searches at once
+	// bound how many (experiments.Context.Parallelism).
 	Parallelism int
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
