@@ -183,7 +183,7 @@ func TestWorkloadOverride(t *testing.T) {
 // TestListOrderParity pins satellite agreement across every user-facing
 // enumeration of the workload registry: repro -list, the
 // workloads.Lookup unknown-name error, and (transitively, because the
-// daemon's /v1/run validation error wraps that same Lookup error —
+// daemon's /v1/batch/run validation error wraps that same Lookup error —
 // daemon_test.go's TestUnknownWorkloadErrorEnumeratesRegistry holds the
 // other end) the fleet's 400 bodies all list the same names in the same
 // order.

@@ -10,11 +10,11 @@
 //	       [-drain-grace 500ms] [-quiet] [-replica id] [-fleet url1,url2,...]
 //	       [-metrics=true]
 //
-// Endpoints: POST /v1/run (one point), POST /v1/sweep (a batch, sharded
-// across the bounded pool), POST /v1/search (equivalent-window, ratio
-// and crossover searches), POST /v1/batch/run and /v1/batch/search
-// (many independent items in one round trip — the request-collapsing
-// path of fleet clients), GET /v1/cache/stats, POST /v1/cache/gc,
+// Endpoints: POST /v1/batch/run (simulation points, each with its own
+// target, in one round trip) and POST /v1/batch/search
+// (equivalent-window, ratio and crossover searches) — every simulation
+// is a batch, one request per replica round trip for fleet clients —
+// plus GET /v1/cache/stats, POST /v1/cache/gc,
 // GET /healthz, and GET /metrics (Prometheus text exposition of the
 // request, cache, store and admission-queue counters — DESIGN.md §15;
 // disable with -metrics=false). -gc takes a sweep GC policy

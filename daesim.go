@@ -185,7 +185,7 @@ type (
 	// Runner is a parallel, memoizing simulation executor for one Suite.
 	// Set Runner.Store to persist results across processes.
 	Runner = sweep.Runner
-	// Point identifies one simulation for a Runner or a DaemonClient: a
+	// Point identifies one simulation for a Runner or a DaemonFleet: a
 	// machine kind plus parameters.
 	Point = sweep.Point
 	// Search runs equivalent-window and crossover searches against a
@@ -204,28 +204,24 @@ type (
 	GCPolicy = sweep.GCPolicy
 	// GCResult reports one Store.GC pass (entries scanned, evicted, kept).
 	GCResult = sweep.GCResult
-	// DaemonClient talks to a running sweepd daemon (cmd/sweepd): run
-	// single points, sharded sweeps and equivalent-window searches on a
-	// long-lived server with a shared persistent cache, query its cache
-	// statistics, and trigger store GC. Every method takes a
-	// context.Context that cancels the request in flight. Bind
-	// DaemonClient.Run to a context and attach it to Experiments.Remote
-	// (or, bound to one workload, Runner.Remote) to route a local
-	// sweep's cacheable simulations through the daemon — repro -remote
-	// is exactly that wiring. See DESIGN.md §10.
+	// DaemonClient talks to one running sweepd daemon (cmd/sweepd) for
+	// administration: health, cache statistics and store GC. Every
+	// method takes a context.Context that cancels the request in flight.
+	// Simulations reach a daemon through DaemonFleet — a single daemon
+	// is a fleet of one. See DESIGN.md §10.
 	DaemonClient = daemon.Client
-	// DaemonFleet routes simulations across several sweepd replicas by
-	// consistent hashing of cache keys, with per-replica health checks
-	// and an explicit failure ladder: ring-order failover with bounded,
-	// deterministically-jittered backoff, per-replica circuit breakers
-	// with probe-on-recovery, penalty-free rerouting off draining
-	// replicas, optional hedged single-point requests (HedgeDelay), and
-	// partial-batch returns that let a Degrade-enabled Runner simulate
-	// unserved points locally. Bind DaemonFleet.Run and
-	// DaemonFleet.RunBatch to a context and attach them to
-	// Experiments.Remote/RemoteBatch to shard a sweep across the fleet
-	// with batched round trips — repro -remote url1,url2,... is exactly
-	// that wiring. See DESIGN.md §11 and §13.
+	// DaemonFleet routes simulations across one or more sweepd replicas
+	// by consistent hashing of cache keys, with per-replica health
+	// checks and an explicit failure ladder: ring-order failover with
+	// bounded, deterministically-jittered backoff, per-replica circuit
+	// breakers with probe-on-recovery, penalty-free rerouting off
+	// draining replicas, and partial-batch returns that let a
+	// Degrade-enabled Runner simulate unserved points locally. Every
+	// simulation is a batch: bind DaemonFleet.RunBatch and
+	// DaemonFleet.RatioBatch to a context and attach them to
+	// Experiments.RemoteBatch/RemoteSearch to shard a sweep across the
+	// fleet, one round trip per replica — repro -remote url1,url2,... is
+	// exactly that wiring. See DESIGN.md §11 and §13.
 	DaemonFleet = daemon.FleetClient
 	// FleetRing is the consistent-hash ring behind DaemonFleet: a pure
 	// function of the replica address list, deterministic across

@@ -3,10 +3,11 @@
 // to a daemon you started yourself (`go run ./cmd/sweepd -cache dir`);
 // without, it spins up an in-process server on a loopback port so the
 // example is self-contained. Either way the client-side code is the
-// same: one point, a sharded sweep, an equivalent-window search, cache
-// statistics, and a store GC pass — all over HTTP/JSON, all memoized
-// server-side, so re-running this example against a live daemon does
-// zero simulations the second time.
+// same: a one-replica fleet runs a batch of points and a curve of
+// equivalent-window searches, and a plain client reads the cache
+// statistics and runs a store GC pass — all over HTTP/JSON, all
+// memoized server-side, so re-running this example against a live
+// daemon does zero simulations the second time.
 package main
 
 import (
@@ -39,23 +40,22 @@ func main() {
 		fmt.Printf("started in-process daemon at %s\n\n", base)
 	}
 
-	client := daesim.NewDaemonClient(base)
-	ctx := context.Background()
-	if err := client.Health(ctx); err != nil {
-		log.Fatal(err)
-	}
-
-	// One point: the paper's headline configuration for FLO52Q.
-	res, err := client.Run(ctx, "FLO52Q", 1, "", daesim.Point{Kind: daesim.DM, P: daesim.Params{Window: 64, MD: 60}})
+	// A single daemon is a fleet of one: the same client that shards
+	// across replicas (repro -remote url1,url2,...) talks to it.
+	fleet, err := daesim.NewDaemonFleet([]string{base})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("FLO52Q DM w=64 md=60: %d cycles, IPC %.2f\n\n", res.Cycles, res.IPC())
+	ctx := context.Background()
+	if err := fleet.Health(ctx); err != nil {
+		log.Fatal(err)
+	}
 
-	// A sweep: both machines across a window grid, one request. The
-	// daemon shards the batch across its worker pool and memoizes every
-	// point, so an overlapping sweep (another client, a repro -remote
-	// run) reuses these results.
+	// Both machines across a window grid, one request. The daemon runs
+	// the batch across its worker pool and memoizes every point, so an
+	// overlapping batch (another client, a repro -remote run) reuses
+	// these results. The empty fingerprint skips the workload-content
+	// check; repro passes the local suite's fingerprint.
 	var pts []daesim.Point
 	windows := []int{16, 32, 64, 96}
 	for _, kind := range []daesim.Kind{daesim.DM, daesim.SWSM} {
@@ -63,7 +63,7 @@ func main() {
 			pts = append(pts, daesim.Point{Kind: kind, P: daesim.Params{Window: w, MD: 60}})
 		}
 	}
-	results, err := client.Sweep(ctx, "FLO52Q", 1, pts)
+	results, err := fleet.RunBatch(ctx, "FLO52Q", 1, "", pts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,18 +72,21 @@ func main() {
 		fmt.Printf("%-9d %-12d %d\n", w, results[i].Cycles, results[len(windows)+i].Cycles)
 	}
 
-	// An equivalent-window search (the Figures 7-9 metric), probed
-	// entirely through the daemon's cache.
-	search, err := client.Search(ctx, "FLO52Q", 1, daemon.SearchRequest{
-		Op:     daemon.SearchRatio,
-		Params: daemon.Params{Window: 60, MD: 60},
-	})
+	// A curve of equivalent-window ratio searches (the Figures 7-9
+	// metric), run server-side and probed entirely through the daemon's
+	// cache.
+	params := []daesim.Params{{Window: 30, MD: 60}, {Window: 60, MD: 60}}
+	answers, err := fleet.RatioBatch(ctx, "FLO52Q", 1, "", params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nequivalent-window ratio at w=60 md=60: %.3f (ok=%v)\n", search.Ratio, search.OK)
+	fmt.Println()
+	for i, a := range answers {
+		fmt.Printf("equivalent-window ratio at w=%d md=%d: %.3f (ok=%v)\n", params[i].Window, params[i].MD, a.Ratio, a.OK)
+	}
 
-	// Cache statistics and a GC pass.
+	// Cache statistics and a GC pass, through a plain client.
+	client := daesim.NewDaemonClient(base)
 	stats, err := client.CacheStats(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -1,18 +1,16 @@
 // Package daemon implements sweepd, the long-lived simulation service:
 // the HTTP/JSON wire protocol shared by server and client, the Server
 // that owns per-workload memoizing runners (single-flight L1) over one
-// shared persistent sweep.Store (L2), and the thin Client that lets a
-// local sweep — repro -remote, or any sweep.Runner with its Remote hook
-// set — route cacheable simulations through a running daemon instead of
+// shared persistent sweep.Store (L2), and the clients that let a local
+// sweep — repro -remote, or any sweep.Runner with its RemoteBatch hook
+// set — route cacheable simulations through running daemons instead of
 // simulating locally.
 //
-// Endpoints (DESIGN.md §10 documents the full schemas):
+// Every simulation is a batch. Endpoints (DESIGN.md §10 documents the
+// full schemas):
 //
-//	POST /v1/run          one (workload, machine, params) point → Result
-//	POST /v1/sweep        a batch of points, sharded across the pool
-//	POST /v1/search       equivalent-window / ratio / crossover searches
-//	POST /v1/batch/run    many run requests (own targets) in one round trip
-//	POST /v1/batch/search many searches, fanned across the pool
+//	POST /v1/batch/run    run requests (own targets) in one round trip
+//	POST /v1/batch/search equivalent-window / ratio / crossover searches, fanned across the pool
 //	GET  /v1/cache/stats  runner + store cache counters
 //	POST /v1/cache/gc     trim the persistent store to given bounds
 //	GET  /healthz         liveness (never throttled by the request limit)
@@ -34,7 +32,7 @@ import (
 // field crosses the wire explicitly except Mem: a custom MemModel is
 // arbitrary local code with no serialized identity, so points carrying
 // one are not remotable (they are also the points sweep.Runner never
-// routes through its Remote hook). TestWireParamsCoverMachineParams
+// routes through its RemoteBatch hook). TestWireParamsCoverMachineParams
 // pins the field count against machine.Params, so adding a parameter
 // without extending the protocol fails the build gate.
 type Params struct {
@@ -161,9 +159,8 @@ func ParsePolicy(s string) (partition.Policy, error) {
 // otherwise return results the client's own cache keys could never
 // produce — and the client would install them into its local store
 // under its own version key, poisoning exactly the entries the §9 key
-// scheme exists to invalidate. The Client always sends its linked
-// engine.Version; sweeps routed through sweep.Runner.Remote also send
-// the local suite's content fingerprint.
+// scheme exists to invalidate. FleetClient always sends its linked
+// engine.Version and the local suite's content fingerprint.
 type Target struct {
 	Workload string `json:"workload"`
 	Scale    int    `json:"scale,omitempty"`
@@ -176,29 +173,11 @@ type Target struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// RunRequest is the POST /v1/run body: one simulation point.
+// RunRequest is one /v1/batch/run item: one simulation point against
+// its own target.
 type RunRequest struct {
 	Target
 	Point
-}
-
-// RunResponse is the POST /v1/run reply.
-type RunResponse struct {
-	Result *engine.Result `json:"result"`
-}
-
-// SweepRequest is the POST /v1/sweep body: a batch of points against one
-// suite, executed by the daemon's bounded worker pool with the same
-// memoization as any local sweep.
-type SweepRequest struct {
-	Target
-	Points []Point `json:"points"`
-}
-
-// SweepResponse is the POST /v1/sweep reply; Results[i] answers
-// Points[i].
-type SweepResponse struct {
-	Results []*engine.Result `json:"results"`
 }
 
 // Search operations for SearchRequest.Op.
@@ -213,8 +192,8 @@ const (
 	SearchCrossover = "crossover"
 )
 
-// SearchRequest is the POST /v1/search body: an equivalent-window search
-// against one suite, probed through the daemon's shared cache.
+// SearchRequest is one /v1/batch/search item: an equivalent-window
+// search against one suite, probed through the daemon's shared cache.
 type SearchRequest struct {
 	Target
 	// Op selects the search: SearchWindow, SearchRatio or SearchCrossover.
@@ -228,7 +207,7 @@ type SearchRequest struct {
 	Windows []int `json:"windows,omitempty"`
 }
 
-// SearchResponse is the POST /v1/search reply. OK is false when the
+// SearchResponse answers one SearchRequest. OK is false when the
 // search saturated (no window within metrics.MaxEquivalentWindow, or no
 // crossover in the grid).
 type SearchResponse struct {
@@ -256,8 +235,7 @@ type BatchRunRequest struct {
 
 // BatchRunResponse is the POST /v1/batch/run reply; Results[i] answers
 // Items[i]. The batch is all-or-nothing: any invalid item fails the
-// whole request (400/409) before anything simulates, matching the
-// loud-failure contract of the point-wise endpoints.
+// whole request (400/409) before anything simulates.
 type BatchRunResponse struct {
 	Results []*engine.Result `json:"results"`
 }

@@ -41,17 +41,14 @@ func chaosFleet(t *testing.T, n int, spec string) (*FleetClient, []*Server, *fau
 	return fleet, servers, inj
 }
 
-// chaosContext attaches the point-wise and batched-run hooks but NOT
-// the server-side search hook: the ratio searches' probe waves then
+// chaosContext attaches the batched-run hook but NOT the server-side
+// search hook: the ratio searches' probe waves then
 // travel through RemoteBatch — one client request per replica per wave
 // instead of one per curve — so the soak pushes an order of magnitude
 // more traffic through the fault injector (the server-side search path
 // is byte-identity-tested separately by TestFleetFigure7ByteIdentical).
 func chaosContext(fleet *FleetClient) *experiments.Context {
 	ctx := experiments.NewContext()
-	ctx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return fleet.Run(context.Background(), workload, scale, fingerprint, pt)
-	}
 	ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
 		return fleet.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}

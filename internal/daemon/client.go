@@ -6,24 +6,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
 	"daesim/internal/engine"
-	"daesim/internal/experiments"
-	"daesim/internal/machine"
+	"daesim/internal/metrics"
 	"daesim/internal/sweep"
 )
 
-// Client talks to a running sweepd. Its Run method has the shape
-// experiments.Context.Remote (and, bound to one workload,
-// sweep.Runner.Remote) expects, so attaching a Client routes every
-// cacheable simulation of a local sweep through the daemon's shared
-// cache; repro -remote is exactly that wiring. Every request pins the
-// client's engine.Version (and, through the Remote path, the local
-// suite fingerprint), so a version-skewed daemon refuses with 409
-// instead of answering with results from a different build. A Client
-// is safe for concurrent use.
+// Client talks to one running sweepd: the two batch simulation calls
+// (BatchRun, BatchSearch) plus health, cache statistics and GC. Sweeps
+// reach a daemon through FleetClient — a single daemon is a fleet of
+// one — which pins every request to this build's engine.Version and
+// the local suite fingerprint, so a version-skewed daemon refuses with
+// 409 instead of answering with results from a different build. A
+// Client is safe for concurrent use.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8077".
 	BaseURL string
@@ -149,46 +147,6 @@ func (c *Client) target(workload string, scale int, fingerprint string) Target {
 	}
 }
 
-// Run executes one point on the daemon. The signature matches
-// experiments.Context.Remote: fingerprint, when non-empty, is the
-// local suite's content hash (machine.Suite.Fingerprint), which the
-// daemon must match or refuse — pass "" to skip the content check.
-func (c *Client) Run(ctx context.Context, workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-	wp, err := ToPoint(pt)
-	if err != nil {
-		return nil, err
-	}
-	var resp RunResponse
-	if err := c.post(ctx, "/v1/run", RunRequest{Target: c.target(workload, scale, fingerprint), Point: wp}, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, fmt.Errorf("daemon client: /v1/run returned no result: %w", ErrMalformedReply)
-	}
-	return resp.Result, nil
-}
-
-// Sweep executes a batch of points on the daemon; Results[i] answers
-// pts[i].
-func (c *Client) Sweep(ctx context.Context, workload string, scale int, pts []sweep.Point) ([]*engine.Result, error) {
-	wire := make([]Point, len(pts))
-	for i, pt := range pts {
-		wp, err := ToPoint(pt)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: point %d: %w", i, err)
-		}
-		wire[i] = wp
-	}
-	var resp SweepResponse
-	if err := c.post(ctx, "/v1/sweep", SweepRequest{Target: c.target(workload, scale, ""), Points: wire}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(pts) {
-		return nil, fmt.Errorf("daemon client: /v1/sweep returned %d results for %d points: %w", len(resp.Results), len(pts), ErrMalformedReply)
-	}
-	return resp.Results, nil
-}
-
 // BatchRun executes run requests — each carrying its own target — in
 // MaxBatchItems-sized round trips (one for any realistically sized
 // batch; the server 400s oversized requests with a non-retryable
@@ -223,8 +181,8 @@ func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Re
 
 // BatchSearch executes searches server-side in MaxBatchItems-sized
 // round trips; Results[i] answers items[i]. Each item's Target must be
-// set by the caller (use Client.Search for the single pinned-target
-// case).
+// set by the caller. Every answer the daemon marks OK is checked
+// against its request (checkSearchReply) before it can reach a figure.
 func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
 	out := make([]SearchResponse, 0, len(items))
 	for start := 0; start < len(items); start += MaxBatchItems {
@@ -240,62 +198,45 @@ func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]Sear
 		if len(resp.Results) != len(chunk) {
 			return nil, fmt.Errorf("daemon client: /v1/batch/search returned %d results for %d items: %w", len(resp.Results), len(chunk), ErrMalformedReply)
 		}
+		for i, r := range resp.Results {
+			if err := checkSearchReply(chunk[i], r); err != nil {
+				return nil, fmt.Errorf("daemon client: /v1/batch/search item %d: %w", start+i, err)
+			}
+		}
 		out = append(out, resp.Results...)
 	}
 	return out, nil
 }
 
-// RunBatch executes a batch of points against one suite in a single
-// round trip. The signature matches experiments.Context.RemoteBatch
-// (and, bound to one workload, sweep.Runner.RemoteBatch), so attaching
-// it lets a local sweep or search submit a whole probe wave as one
-// request instead of one per point — the request-count collapse behind
-// repro -remote's batched mode (DESIGN.md §11).
-func (c *Client) RunBatch(ctx context.Context, workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
-	target := c.target(workload, scale, fingerprint)
-	items := make([]RunRequest, len(pts))
-	for i, pt := range pts {
-		wp, err := ToPoint(pt)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: point %d: %w", i, err)
+// checkSearchReply rejects an OK search answer that no search could
+// have produced for req: a window outside [1, metrics.MaxEquivalentWindow],
+// a ratio that is not such a window over the request's DM window, or
+// a crossover outside the request's grid, wrapping ErrMalformedReply.
+// Saturated (!OK) answers carry no figure value and pass.
+func checkSearchReply(req SearchRequest, resp SearchResponse) error {
+	if !resp.OK {
+		return nil
+	}
+	switch req.Op {
+	case SearchWindow:
+		if resp.Window < 1 || resp.Window > metrics.MaxEquivalentWindow {
+			return fmt.Errorf("window %d outside [1, %d]: %w", resp.Window, metrics.MaxEquivalentWindow, ErrMalformedReply)
 		}
-		items[i] = RunRequest{Target: target, Point: wp}
-	}
-	return c.BatchRun(ctx, items)
-}
-
-// RatioBatch executes one curve of equivalent-window ratio searches
-// server-side, in a single round trip. The signature matches
-// experiments.Context.RemoteSearch: attaching it lets Figures 7-9 cost
-// a few requests per figure instead of several per ratio point, with
-// answers identical to the local search by construction (the probe
-// path is a fixed function of its inputs — metrics.Search).
-func (c *Client) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
-	items := make([]SearchRequest, len(params))
-	for i, p := range params {
-		wp, err := ToParams(p)
-		if err != nil {
-			return nil, fmt.Errorf("daemon client: ratio point %d: %w", i, err)
+	case SearchRatio:
+		dm := req.Params.Window
+		w := math.Round(resp.Ratio * float64(dm))
+		if dm <= 0 || w < 1 || w > metrics.MaxEquivalentWindow || w/float64(dm) != resp.Ratio {
+			return fmt.Errorf("ratio %v is not a window in [1, %d] over DM window %d: %w", resp.Ratio, metrics.MaxEquivalentWindow, dm, ErrMalformedReply)
 		}
-		items[i] = SearchRequest{Target: c.target(workload, scale, fingerprint), Op: SearchRatio, Params: wp}
+	case SearchCrossover:
+		for _, w := range req.Windows {
+			if w == resp.Window {
+				return nil
+			}
+		}
+		return fmt.Errorf("crossover window %d is not in the request's grid: %w", resp.Window, ErrMalformedReply)
 	}
-	resp, err := c.BatchSearch(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]experiments.RatioAnswer, len(resp))
-	for i, r := range resp {
-		answers[i] = experiments.RatioAnswer{Ratio: r.Ratio, OK: r.OK}
-	}
-	return answers, nil
-}
-
-// Search runs one equivalent-window search on the daemon.
-func (c *Client) Search(ctx context.Context, workload string, scale int, req SearchRequest) (SearchResponse, error) {
-	req.Target = c.target(workload, scale, "")
-	var resp SearchResponse
-	err := c.post(ctx, "/v1/search", req, &resp)
-	return resp, err
+	return nil
 }
 
 // CacheStats fetches the daemon's cache counters.

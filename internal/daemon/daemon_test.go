@@ -1,8 +1,8 @@
 package daemon
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -124,11 +124,44 @@ func asJSON(t *testing.T, v any) []byte {
 	return data
 }
 
+// runOne runs one point as a one-item /v1/batch/run request pinned to
+// this build (and to fingerprint, when non-empty).
+func runOne(c *Client, workload, fingerprint string, pt sweep.Point) (*engine.Result, error) {
+	res, err := runPoints(c, workload, fingerprint, []sweep.Point{pt})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runPoints runs points against one suite in one /v1/batch/run request.
+func runPoints(c *Client, workload, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+	items := make([]RunRequest, len(pts))
+	for i, pt := range pts {
+		wp, err := ToPoint(pt)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = RunRequest{Target: c.target(workload, 1, fingerprint), Point: wp}
+	}
+	return c.BatchRun(context.Background(), items)
+}
+
+// searchOne runs one search as a one-item /v1/batch/search request.
+func searchOne(c *Client, workload string, req SearchRequest) (SearchResponse, error) {
+	req.Target = c.target(workload, 1, "")
+	res, err := c.BatchSearch(context.Background(), []SearchRequest{req})
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	return res[0], nil
+}
+
 func TestRunEndpointMatchesLocalByteForByte(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	pt := sweep.Point{Kind: machine.DM, P: machine.Params{Window: 16, MD: 30}}
-	remote, err := client.Run(context.Background(), testWorkload, 1, "", pt)
+	remote, err := runOne(client, testWorkload, "", pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +184,11 @@ func TestSweepEndpointWarmRunHitsCache(t *testing.T) {
 			sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}},
 			sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: w, MD: 30}})
 	}
-	cold, err := client.Sweep(context.Background(), testWorkload, 1, pts)
+	cold, err := runPoints(client, testWorkload, "", pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := client.Sweep(context.Background(), testWorkload, 1, pts)
+	warm, err := runPoints(client, testWorkload, "", pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +237,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
+	resp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +249,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wresp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
+	wresp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +257,7 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 		t.Fatalf("window search %+v inconsistent with ratio %v", wresp, resp.Ratio)
 	}
 
-	xresp, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
+	xresp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,20 +309,19 @@ func TestGCEndpoint(t *testing.T) {
 func TestSkewRefused(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
-	var resp RunResponse
-	err := client.post(context.Background(), "/v1/run", RunRequest{
+	_, err := client.BatchRun(context.Background(), []RunRequest{{
 		Target: Target{Workload: testWorkload, EngineVersion: "engine-v0"},
 		Point:  Point{Kind: "DM", Params: Params{Window: 8}},
-	}, &resp)
+	}})
 	if err == nil || !strings.Contains(err.Error(), "engine version skew") || !strings.Contains(err.Error(), "409") {
 		t.Errorf("engine version skew should be refused with 409: %v", err)
 	}
 
-	if _, err := client.Run(context.Background(), testWorkload, 1, "deadbeef", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}}); err == nil || !strings.Contains(err.Error(), "workload content skew") {
+	if _, err := runOne(client, testWorkload, "deadbeef", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}}); err == nil || !strings.Contains(err.Error(), "workload content skew") {
 		t.Errorf("fingerprint skew should be refused: %v", err)
 	}
 
-	// The real fingerprint (what Runner.Remote sends) must pass.
+	// The real fingerprint (what FleetClient.RunBatch sends) must pass.
 	tr, err := workloads.Build(testWorkload, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -298,13 +330,13 @@ func TestSkewRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Run(context.Background(), testWorkload, 1, suite.Fingerprint(), sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
+	if _, err := runOne(client, testWorkload, suite.Fingerprint(), sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Errorf("matching fingerprint refused: %v", err)
 	}
 }
 
 // TestGeneratedWorkloadServes: a "spec:" workload travels by name over
-// /v1/run — the daemon regenerates it from the spec and answers
+// /v1/batch/run — the daemon regenerates it from the spec and answers
 // byte-identically to a local run, and the content fingerprint the
 // client pins is the proof both sides lowered the same program.
 func TestGeneratedWorkloadServes(t *testing.T) {
@@ -320,7 +352,7 @@ func TestGeneratedWorkloadServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := sweep.Point{Kind: machine.DM, P: machine.Params{Window: 24, MD: 40}}
-	remote, err := client.Run(context.Background(), spec, 1, suite.Fingerprint(), pt)
+	remote, err := runOne(client, spec, suite.Fingerprint(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +361,7 @@ func TestGeneratedWorkloadServes(t *testing.T) {
 		t.Fatalf("remote generated-workload result differs from local:\nremote %s\nlocal  %s", got, want)
 	}
 	// A malformed spec is a 400 naming the field, not a 500 or a hang.
-	_, err = client.Run(context.Background(), "spec:depth=0", 1, "", pt)
+	_, err = runOne(client, "spec:depth=0", "", pt)
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Errorf("malformed spec error %v does not name the field", err)
 	}
@@ -337,14 +369,14 @@ func TestGeneratedWorkloadServes(t *testing.T) {
 
 // TestUnknownWorkloadErrorEnumeratesRegistry pins the daemon half of
 // the enumeration-parity contract (cmd/repro's TestListOrderParity
-// holds the other): the /v1/run validation error for an unknown
+// holds the other): the /v1/batch/run validation error for an unknown
 // workload lists the registry in workloads.Names() order — the exact
 // order repro -list prints — so operators comparing a 400 body against
 // the CLI listing never see two orderings of the same catalog.
 func TestUnknownWorkloadErrorEnumeratesRegistry(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
-	_, err := client.Run(context.Background(), "NOSUCH", 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
+	_, err := runOne(client, "NOSUCH", "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
 	if err == nil {
 		t.Fatal("unknown workload accepted")
 	}
@@ -374,36 +406,36 @@ func TestBadRequests(t *testing.T) {
 		want string
 	}{
 		{"unknown workload", func() error {
-			_, err := client.Run(context.Background(), "NOSUCH", 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
+			_, err := runOne(client, "NOSUCH", "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
 			return err
 		}, "NOSUCH"},
 		{"bad kind", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}}, &resp)
+			_, err := client.BatchRun(context.Background(), []RunRequest{{Target: Target{Workload: testWorkload}, Point: Point{Kind: "VLIW"}}})
+			return err
 		}, "unknown machine kind"},
 		{"bad policy", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload, Policy: "random"}, Point: Point{Kind: "DM"}}, &resp)
+			_, err := client.BatchRun(context.Background(), []RunRequest{{Target: Target{Workload: testWorkload, Policy: "random"}, Point: Point{Kind: "DM"}}})
+			return err
 		}, "unknown partition policy"},
 		{"bad retire", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", RunRequest{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Retire: "never"}}}, &resp)
-		}, "unknown retire policy"},
-		{"empty sweep", func() error {
-			_, err := client.Sweep(context.Background(), testWorkload, 1, nil)
+			_, err := client.BatchRun(context.Background(), []RunRequest{{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Retire: "never"}}}})
 			return err
-		}, "no points"},
+		}, "unknown retire policy"},
+		{"empty batch", func() error {
+			var resp BatchRunResponse
+			return client.post(context.Background(), "/v1/batch/run", BatchRunRequest{}, &resp)
+		}, "no items"},
 		{"bad search op", func() error {
-			_, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: "median"})
+			_, err := searchOne(client, testWorkload, SearchRequest{Op: "median"})
 			return err
 		}, "unknown search op"},
 		{"window search without target", func() error {
-			_, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: SearchWindow})
+			_, err := searchOne(client, testWorkload, SearchRequest{Op: SearchWindow})
 			return err
 		}, "target_cycles"},
 		{"unknown field", func() error {
-			var resp RunResponse
-			return client.post(context.Background(), "/v1/run", map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}}, &resp)
+			var resp BatchRunResponse
+			return client.post(context.Background(), "/v1/batch/run", map[string]any{"items": []any{map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}}}}, &resp)
 		}, "unknown field"},
 	}
 	for _, tc := range cases {
@@ -415,7 +447,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestBatchRunEndpoint: a batch whose items span workloads and scales
-// answers each item exactly as the point-wise endpoint would, and a bad
+// answers each item exactly as a local simulation would, and a bad
 // item anywhere fails the whole batch before anything simulates,
 // naming the item.
 func TestBatchRunEndpoint(t *testing.T) {
@@ -459,7 +491,7 @@ func TestBatchRunEndpoint(t *testing.T) {
 }
 
 // TestBatchSearchEndpoint: a heterogeneous search batch answers each
-// item exactly as /v1/search would.
+// item exactly as that search sent alone would.
 func TestBatchSearchEndpoint(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
@@ -474,12 +506,12 @@ func TestBatchSearchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, item := range items {
-		single, err := client.Search(context.Background(), testWorkload, 1, SearchRequest{Op: item.Op, Params: item.Params, Windows: item.Windows})
+		single, err := searchOne(client, testWorkload, SearchRequest{Op: item.Op, Params: item.Params, Windows: item.Windows})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batched[i] != single {
-			t.Errorf("batch item %d: %+v != point-wise %+v", i, batched[i], single)
+			t.Errorf("batch item %d: %+v != sent alone %+v", i, batched[i], single)
 		}
 	}
 	if _, err := client.BatchSearch(context.Background(), []SearchRequest{{Target: target, Op: "median"}}); err == nil || !strings.Contains(err.Error(), "unknown search op") {
@@ -498,7 +530,7 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8 + i, MD: 10}})
+			_, errs[i] = runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8 + i, MD: 10}})
 		}(i)
 	}
 	wg.Wait()
@@ -510,9 +542,9 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 }
 
 // TestRemoteContext is the repro -remote wiring end to end: an
-// experiments.Context with a daemon client attached runs all cacheable
-// points remotely (zero local simulations) and produces results
-// byte-identical to a purely local context.
+// experiments.Context with a one-daemon fleet attached runs all
+// cacheable points remotely (zero local simulations) and produces
+// results byte-identical to a purely local context.
 func TestRemoteContext(t *testing.T) {
 	t.Parallel()
 	store, err := sweep.OpenStore(t.TempDir())
@@ -533,7 +565,7 @@ func TestRemoteContext(t *testing.T) {
 				pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: md}})
 			}
 		}
-		results, err := r.RunAll(pts)
+		results, err := r.RunBatch(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,9 +575,13 @@ func TestRemoteContext(t *testing.T) {
 	localCtx := experiments.NewContext()
 	localRes := run(localCtx)
 
+	one, err := NewFleetClient([]string{client.BaseURL})
+	if err != nil {
+		t.Fatal(err)
+	}
 	remoteCtx := experiments.NewContext()
-	remoteCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return client.Run(context.Background(), workload, scale, fingerprint, pt)
+	remoteCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return one.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
 	remoteRes := run(remoteCtx)
 
@@ -565,9 +601,12 @@ func TestRemoteContext(t *testing.T) {
 
 	// A dead daemon must fail the run loudly, not fall back to local.
 	deadCtx := experiments.NewContext()
-	dead := NewClient("http://127.0.0.1:1")
-	deadCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return dead.Run(context.Background(), workload, scale, fingerprint, pt)
+	dead, err := NewFleetClient([]string{"http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadCtx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
+		return dead.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
 	r, err := deadCtx.Runner(testWorkload)
 	if err != nil {
@@ -583,7 +622,7 @@ func TestRemoteContext(t *testing.T) {
 func TestStatsEndpointShape(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
-	if _, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
+	if _, err := runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	hres, err := http.Get(client.BaseURL + "/v1/cache/stats")

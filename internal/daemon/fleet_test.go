@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -52,9 +53,6 @@ func newFleet(t *testing.T, n int, mkcfg func(i int) Config, wrap func(i int, h 
 // attached to the fleet — the repro -remote url1,url2,... wiring.
 func fleetContext(fleet *FleetClient) *experiments.Context {
 	ctx := experiments.NewContext()
-	ctx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return fleet.Run(context.Background(), workload, scale, fingerprint, pt)
-	}
 	ctx.RemoteBatch = func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error) {
 		return fleet.RunBatch(context.Background(), workload, scale, fingerprint, pts)
 	}
@@ -68,15 +66,26 @@ func fleetContext(fleet *FleetClient) *experiments.Context {
 // 3-replica fleet reproduces Figure 7 (and the Figure 4 speedup sweep,
 // which exercises the batched point path where Figure 7 exercises the
 // batched search path) byte-identically to a purely local run, with
-// zero local simulations, every replica serving traffic, and the point
-// keyspace spread across replicas with no owner above 60%.
+// zero local simulations, every replica serving traffic, a cold Figure 7
+// costing at most one request per ratio curve per replica, and the
+// point keyspace spread across replicas with no owner above 60%.
 func TestFleetFigure7ByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 7 reproduction; skipped with -short")
 	}
 	t.Parallel()
 	fleet, servers, _ := newFleet(t, 3, nil, nil)
+	requests := func() int64 {
+		var total int64
+		for _, srv := range servers {
+			total += srv.Stats().Requests
+		}
+		return total
+	}
 
+	// fig7Requests is the fleet traffic of the (first) remote Figure 7
+	// render, read before Figure 4 adds its own.
+	fig7Requests := int64(-1)
 	render := func(ctx *experiments.Context) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -86,6 +95,9 @@ func TestFleetFigure7ByteIdentical(t *testing.T) {
 		}
 		if err := ratio.Render(&buf); err != nil {
 			t.Fatal(err)
+		}
+		if ctx.RemoteSearch != nil && fig7Requests < 0 {
+			fig7Requests = requests()
 		}
 		fig, err := ctx.Figure("FLO52Q")
 		if err != nil {
@@ -103,6 +115,12 @@ func TestFleetFigure7ByteIdentical(t *testing.T) {
 	if !bytes.Equal(local, remote) {
 		t.Fatal("fleet Figure 7 + Figure 4 output differs from local")
 	}
+	// Each ratio curve is one RatioBatch, split at most once per owning
+	// replica: the absolute request bound CI's fleet smoke also checks.
+	if bound := int64(len(experiments.RatioMDs) * len(servers)); fig7Requests > bound {
+		t.Errorf("cold fleet Figure 7 cost %d requests, want <= %d (len(RatioMDs) x replicas)", fig7Requests, bound)
+	}
+	t.Logf("cold fleet Figure 7: %d requests", fig7Requests)
 
 	stats := remoteCtx.CacheStats()
 	if stats.Sims != 0 {
@@ -267,6 +285,7 @@ func TestFleetDeadReplicaFromStart(t *testing.T) {
 func TestFleetSkewNotRetried(t *testing.T) {
 	t.Parallel()
 	fleet, servers, _ := newFleet(t, 3, nil, nil)
+	// Run (a one-point RunBatch) must fail fast on the refusal.
 	_, err := fleet.Run(context.Background(), testWorkload, 1, "deadbeef", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8}})
 	if err == nil || !strings.Contains(err.Error(), "workload content skew") {
 		t.Fatalf("fingerprint skew should surface immediately: %v", err)
@@ -320,65 +339,173 @@ func TestFleetMembershipGuards(t *testing.T) {
 	}
 }
 
-// TestFleetBatchedSearchRequestSavings pins the acceptance bound: a
-// batched equivalent-window ratio curve costs at least 5x fewer HTTP
-// requests than the same curve probed point-wise.
-func TestFleetBatchedSearchRequestSavings(t *testing.T) {
+// TestFleetRatioBatchRequestBound pins the absolute request bound of
+// server-side searches: one RatioBatch curve on a 3-replica fleet costs
+// at most one request per replica, and its answers equal the local
+// search's.
+func TestFleetRatioBatchRequestBound(t *testing.T) {
 	t.Parallel()
-	suiteFP := mustSuite(t, testWorkload).Fingerprint()
+	suite := mustSuite(t, testWorkload)
 	windows := []int{8, 16, 24}
 	md := 30
 
-	requests := func(servers []*Server) int64 {
-		var total int64
-		for _, srv := range servers {
-			total += srv.Stats().Requests
-		}
-		return total
-	}
-
-	// Point-wise: a local search whose probes each travel alone.
-	pwFleet, pwServers, _ := newFleet(t, 3, nil, nil)
-	pwCtx := experiments.NewContext()
-	// No RemoteBatch, no RemoteSearch: each probe travels alone.
-	pwCtx.Remote = func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error) {
-		return pwFleet.Run(context.Background(), workload, scale, fingerprint, pt)
-	}
-	pwRunner, err := pwCtx.Runner(testWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pwAnswers []experiments.RatioAnswer
-	for _, w := range windows {
-		search := metrics.NewSearch(pwRunner)
-		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: w, MD: md})
+	local := metrics.NewSearch(sweep.NewRunner(suite))
+	params := make([]machine.Params, len(windows))
+	want := make([]experiments.RatioAnswer, len(windows))
+	for i, w := range windows {
+		params[i] = machine.Params{Window: w, MD: md}
+		ratio, ok, err := local.EquivalentWindowRatio(params[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		pwAnswers = append(pwAnswers, experiments.RatioAnswer{Ratio: ratio, OK: ok})
+		want[i] = experiments.RatioAnswer{Ratio: ratio, OK: ok}
 	}
-	pointwise := requests(pwServers)
 
-	// Batched: the whole curve as one server-side batch.
-	bFleet, bServers, _ := newFleet(t, 3, nil, nil)
-	params := make([]machine.Params, len(windows))
-	for i, w := range windows {
-		params[i] = machine.Params{Window: w, MD: md}
-	}
-	bAnswers, err := bFleet.RatioBatch(context.Background(), testWorkload, 1, suiteFP, params)
+	fleet, servers, _ := newFleet(t, 3, nil, nil)
+	got, err := fleet.RatioBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := requests(bServers)
-
 	for i := range windows {
-		if pwAnswers[i] != bAnswers[i] {
-			t.Errorf("window %d: point-wise answer %+v != batched %+v", windows[i], pwAnswers[i], bAnswers[i])
+		if got[i] != want[i] {
+			t.Errorf("window %d: fleet answer %+v != local %+v", windows[i], got[i], want[i])
 		}
 	}
-	t.Logf("requests: point-wise %d, batched %d (%.1fx)", pointwise, batched, float64(pointwise)/float64(batched))
-	if pointwise < 5*batched {
-		t.Errorf("batched search must cost >= 5x fewer requests: point-wise %d, batched %d", pointwise, batched)
+	var requests int64
+	for _, srv := range servers {
+		requests += srv.Stats().Requests
+	}
+	if requests > int64(len(servers)) {
+		t.Errorf("one RatioBatch curve cost %d requests, want <= %d (one per replica)", requests, len(servers))
+	}
+}
+
+// stubSearchReplica answers every /v1/batch/search item with reply —
+// a replica whose answers parse but that no search could produce.
+func stubSearchReplica(t *testing.T, reply SearchResponse) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			writeJSON(w, HealthResponse{Status: "ok", EngineVersion: engine.Version})
+			return
+		}
+		hits.Add(1)
+		var req BatchSearchRequest
+		if err := decode(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		resp := BatchSearchResponse{Results: make([]SearchResponse, len(req.Items))}
+		for i := range resp.Results {
+			resp.Results[i] = reply
+		}
+		writeJSON(w, resp)
+	}))
+	t.Cleanup(hs.Close)
+	return hs, &hits
+}
+
+// TestBatchSearchRejectsImpossibleAnswers: an OK answer outside what
+// any search could return — a zero or negative ratio, a ratio whose
+// window is not an integer in [1, MaxEquivalentWindow], a window out of
+// range, a crossover off the request's grid — is ErrMalformedReply,
+// never a figure value.
+func TestBatchSearchRejectsImpossibleAnswers(t *testing.T) {
+	t.Parallel()
+	ratio := SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}}
+	window := SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: 1000}
+	cross := SearchRequest{Op: SearchCrossover, Windows: []int{4, 8, 16}}
+	cases := []struct {
+		name  string
+		req   SearchRequest
+		reply SearchResponse
+	}{
+		{"zero ratio", ratio, SearchResponse{Ratio: 0, OK: true}},
+		{"negative ratio", ratio, SearchResponse{Ratio: -2, OK: true}},
+		{"fractional window", ratio, SearchResponse{Ratio: 1.03, OK: true}},
+		{"ratio past the cap", ratio, SearchResponse{Ratio: float64(metrics.MaxEquivalentWindow+16) / 16, OK: true}},
+		{"window zero", window, SearchResponse{Window: 0, OK: true}},
+		{"window past the cap", window, SearchResponse{Window: metrics.MaxEquivalentWindow + 1, OK: true}},
+		{"crossover off grid", cross, SearchResponse{Window: 12, OK: true}},
+	}
+	for _, tc := range cases {
+		hs, _ := stubSearchReplica(t, tc.reply)
+		_, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{tc.req})
+		if !errors.Is(err, ErrMalformedReply) {
+			t.Errorf("%s: %+v accepted or misclassified: %v", tc.name, tc.reply, err)
+		}
+	}
+	// Answers a search can produce pass, as do saturated answers.
+	for _, ok := range []struct {
+		req   SearchRequest
+		reply SearchResponse
+	}{
+		{ratio, SearchResponse{Ratio: 37.0 / 16, OK: true}},
+		{ratio, SearchResponse{Ratio: 99, OK: false}},
+		{window, SearchResponse{Window: metrics.MaxEquivalentWindow, OK: true}},
+		{cross, SearchResponse{Window: 8, OK: true}},
+	} {
+		hs, _ := stubSearchReplica(t, ok.reply)
+		if _, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{ok.req}); err != nil {
+			t.Errorf("%+v refused: %v", ok.reply, err)
+		}
+	}
+}
+
+// TestFleetReroutesMalformedSearch: a replica lying with a negative
+// ratio is charged like any failing replica — the curve reroutes to the
+// healthy owner, whose answers equal the local search's.
+func TestFleetReroutesMalformedSearch(t *testing.T) {
+	t.Parallel()
+	liar, lies := stubSearchReplica(t, SearchResponse{Ratio: -1, OK: true})
+	good := httptest.NewServer(NewServer(Config{}).Handler())
+	t.Cleanup(good.Close)
+	fleet, err := NewFleetClient([]string{liar.URL, good.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.BackoffBase, fleet.BackoffMax = time.Millisecond, time.Millisecond
+
+	// Two ratio points owned by each replica (the ring hashes random
+	// httptest ports, so ownership is found, not assumed).
+	suite := mustSuite(t, testWorkload)
+	local := metrics.NewSearch(sweep.NewRunner(suite))
+	var params []machine.Params
+	var want []experiments.RatioAnswer
+	owned := make([]int, 2)
+	for w := 4; owned[0] < 2 || owned[1] < 2; w++ {
+		p := machine.Params{Window: w, MD: 30}
+		wp, err := ToParams(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := fleet.Ring().Owner(searchKey(testWorkload, 1, SearchRequest{Op: SearchRatio, Params: wp}))
+		if owned[o] == 2 {
+			continue
+		}
+		owned[o]++
+		ratio, ok, err := local.EquivalentWindowRatio(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params = append(params, p)
+		want = append(want, experiments.RatioAnswer{Ratio: ratio, OK: ok})
+	}
+	got, err := fleet.RatioBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range params {
+		if got[i] != want[i] {
+			t.Errorf("window %d: fleet answer %+v != local %+v", params[i].Window, got[i], want[i])
+		}
+	}
+	if lies.Load() == 0 {
+		t.Fatal("the lying replica was never asked; the reroute went untested")
+	}
+	if fleet.Metrics().Retries == 0 {
+		t.Error("malformed replies must be charged as retries")
 	}
 }
 

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -165,7 +164,7 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 		{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}},
 		{Kind: machine.DM, P: machine.Params{Window: 16, MD: 10}},
 	}
-	if _, err := client.Sweep(context.Background(), testWorkload, 1, pts); err != nil {
+	if _, err := runPoints(client, testWorkload, "", pts); err != nil {
 		t.Fatal(err)
 	}
 	cold := scrapeMetrics(t, client.BaseURL)
@@ -182,7 +181,7 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 		t.Fatalf("daesim_requests_admitted_total = %v, stats say %v", got, want)
 	}
 
-	if _, err := client.Sweep(context.Background(), testWorkload, 1, pts); err != nil {
+	if _, err := runPoints(client, testWorkload, "", pts); err != nil {
 		t.Fatal(err)
 	}
 	warm := scrapeMetrics(t, client.BaseURL)
@@ -201,7 +200,7 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 	srv.sem <- struct{}{}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Run(context.Background(), testWorkload, 1, "", pts[0])
+		_, err := runOne(client, testWorkload, "", pts[0])
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -234,11 +233,11 @@ func TestMetricsEndpointMidSweep(t *testing.T) {
 func TestThrottleDrainRefusalAccounting(t *testing.T) {
 	t.Parallel()
 	srv, client := newTestServer(t, Config{})
-	if _, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
+	if _, err := runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	srv.BeginDrain()
-	_, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 16, MD: 10}})
+	_, err := runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 16, MD: 10}})
 	if err == nil {
 		t.Fatal("draining daemon accepted work")
 	}
@@ -257,7 +256,7 @@ func TestThrottleQueueTimeoutAccounting(t *testing.T) {
 	srv, client := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 100 * time.Millisecond})
 	srv.sem <- struct{}{} // saturate; nothing can be admitted
 	defer func() { <-srv.sem }()
-	if _, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err == nil {
+	if _, err := runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 10}}); err == nil {
 		t.Fatal("request succeeded with the semaphore saturated")
 	}
 	// The timeout handler answers the client the instant the deadline
@@ -296,7 +295,7 @@ func TestMetricsDisabled(t *testing.T) {
 func TestDecodeBodyLimitMessage(t *testing.T) {
 	t.Parallel()
 	big := `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}`
-	req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(big))
+	req := httptest.NewRequest("POST", "/v1/batch/run", strings.NewReader(big))
 	var v RunRequest
 	err := decode(req, &v)
 	if err == nil {
@@ -306,7 +305,7 @@ func TestDecodeBodyLimitMessage(t *testing.T) {
 		t.Fatalf("oversized body error = %q, want %q", err, want)
 	}
 	// A small valid body with trailing garbage keeps its own message.
-	req = httptest.NewRequest("POST", "/v1/run", strings.NewReader(`{"workload":"x"}garbage`))
+	req = httptest.NewRequest("POST", "/v1/batch/run", strings.NewReader(`{"workload":"x"}garbage`))
 	if err := decode(req, &v); err == nil || !strings.Contains(err.Error(), "unexpected data after the JSON body") {
 		t.Fatalf("trailing-garbage error = %v, want the trailing-data message", err)
 	}
@@ -362,7 +361,7 @@ func TestMetricsScrapeConcurrentWithTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := client.Run(context.Background(), testWorkload, 1, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8 + i, MD: 10}})
+			_, err := runOne(client, testWorkload, "", sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8 + i, MD: 10}})
 			if err != nil {
 				t.Error(err)
 			}

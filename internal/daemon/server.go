@@ -31,7 +31,7 @@ type Config struct {
 	// searches one batch runs at once (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
-	// (run/sweep/search); excess requests queue until a slot frees or
+	// (batch run and batch search); excess requests queue until a slot frees or
 	// their timeout expires. 0 = unlimited.
 	MaxConcurrent int
 	// RequestTimeout bounds each simulation request end to end, queue
@@ -247,8 +247,8 @@ func targetStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// Handler returns the daemon's HTTP handler. Simulation endpoints
-// (run/sweep/search) pass through the concurrency limiter and the
+// Handler returns the daemon's HTTP handler. The two simulation
+// endpoints (batch run, batch search) pass through the concurrency limiter and the
 // per-request timeout; health and cache management stay unthrottled so
 // liveness probes and operators are never starved by a sweep burst.
 func (s *Server) Handler() http.Handler {
@@ -256,9 +256,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /v1/cache/stats", s.instrument("cache_stats", http.HandlerFunc(s.handleCacheStats)))
 	mux.Handle("POST /v1/cache/gc", s.instrument("cache_gc", http.HandlerFunc(s.handleCacheGC)))
-	mux.Handle("POST /v1/run", s.instrument("run", s.throttle(s.handleRun)))
-	mux.Handle("POST /v1/sweep", s.instrument("sweep", s.throttle(s.handleSweep)))
-	mux.Handle("POST /v1/search", s.instrument("search", s.throttle(s.handleSearch)))
 	mux.Handle("POST /v1/batch/run", s.instrument("batch_run", s.throttle(s.handleBatchRun)))
 	mux.Handle("POST /v1/batch/search", s.instrument("batch_search", s.throttle(s.handleBatchSearch)))
 	if !s.cfg.DisableMetrics {
@@ -380,62 +377,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad run request: %w", err))
-		return
-	}
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		writeError(w, targetStatus(err), err)
-		return
-	}
-	pt, err := req.Point.Sweep()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := runner.Run(pt)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, RunResponse{Result: res})
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad sweep request: %w", err))
-		return
-	}
-	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: sweep request has no points"))
-		return
-	}
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		writeError(w, targetStatus(err), err)
-		return
-	}
-	pts := make([]sweep.Point, len(req.Points))
-	for i, wp := range req.Points {
-		if pts[i], err = wp.Sweep(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: point %d: %w", i, err))
-			return
-		}
-	}
-	start := time.Now()
-	results, err := runner.RunAll(pts)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.logf("sweep %s scale=%d: %d points in %s", req.Workload, req.Scale, len(pts), time.Since(start).Round(time.Millisecond))
-	writeJSON(w, SweepResponse{Results: results})
-}
-
 // prepSearch validates one search request: it resolves the runner and
 // decodes the params, refusing malformed ops before anything simulates.
 // A non-nil error carries the HTTP status to refuse with.
@@ -481,25 +422,6 @@ func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest) (Sear
 	return resp, err
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad search request: %w", err))
-		return
-	}
-	runner, p, status, err := s.prepSearch(req)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	resp, err := execSearch(runner, p, req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
 // checkBatchSize refuses empty and oversized batches with 400.
 func checkBatchSize(w http.ResponseWriter, path string, n int) bool {
 	switch {
@@ -538,7 +460,7 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Execute per runner through RunAll, so each group reuses the
+	// Execute per runner through RunBatch, so each group reuses the
 	// runner's worker pool and per-worker scratches like a local sweep.
 	start := time.Now()
 	results := make([]*engine.Result, len(req.Items))
@@ -556,7 +478,7 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 		for j, i := range idx {
 			gp[j] = pts[i]
 		}
-		res, err := rn.RunAll(gp)
+		res, err := rn.RunBatch(gp)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return

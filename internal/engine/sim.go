@@ -14,7 +14,7 @@ import (
 // on warm scratch allocate almost nothing beyond the returned Result.
 //
 // A Sim is not safe for concurrent use; give each worker goroutine its
-// own (see sweep.Runner.RunAll). The package-level Run function draws
+// own (see sweep.Runner.RunBatch). The package-level Run function draws
 // from a shared pool and is safe from any goroutine.
 type Sim struct {
 	state   []uint8

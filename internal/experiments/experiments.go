@@ -41,25 +41,23 @@ type Context struct {
 	// invalidated by engine-version bumps and workload recalibrations
 	// (DESIGN.md §9). Set it before the first experiment runs.
 	Cache *sweep.Store
-	// Remote, when non-nil, executes cacheable points that miss the local
-	// cache layers — it becomes each workload runner's Remote hook, bound
-	// to that workload, the context's scale, and the local suite's
-	// content fingerprint (so a daemon built from different workload or
-	// engine code refuses instead of answering with skewed results).
-	// internal/daemon.Client.Run has this signature, so attaching a
-	// daemon client routes every cacheable simulation through a running
-	// sweepd (repro -remote; DESIGN.md §10). Detached runners built
-	// outside the per-workload cache (the policy study's non-default
-	// partitions) still simulate locally. Set it before the first
-	// experiment runs.
+	// Remote is not read for routing: every remote simulation travels
+	// through RemoteBatch. The field stays because perfbench compiles
+	// against it; Runner fails if Remote is set while RemoteBatch is
+	// nil, so a caller wiring only the point-wise shape errors loudly
+	// instead of silently simulating locally.
 	Remote func(workload string, scale int, fingerprint string, pt sweep.Point) (*engine.Result, error)
-	// RemoteBatch, when non-nil, executes whole point sets remotely in
-	// one call — it becomes each workload runner's RemoteBatch hook, so
-	// figure sweeps and search probe waves travel as one request per
-	// fleet replica instead of one per point (daemon.Client.RunBatch and
-	// daemon.FleetClient.RunBatch have this signature; repro -remote
-	// attaches it alongside Remote unless -remote-batch=false). Set it
-	// before the first experiment runs.
+	// RemoteBatch, when non-nil, executes cacheable points that miss the
+	// local cache layers remotely — it becomes each workload runner's
+	// RemoteBatch hook, bound to that workload, the context's scale and
+	// the local suite's content fingerprint (so a daemon built from
+	// different workload or engine code refuses instead of answering
+	// with skewed results). Figure sweeps and search probe waves travel
+	// as one request per fleet replica; a single point travels alone.
+	// daemon.FleetClient.RunBatch has this signature (repro -remote;
+	// DESIGN.md §10-11). Detached runners built outside the per-workload
+	// cache (the policy study's non-default partitions) still simulate
+	// locally. Set it before the first experiment runs.
 	RemoteBatch func(workload string, scale int, fingerprint string, pts []sweep.Point) ([]*engine.Result, error)
 	// RemoteSearch, when non-nil, executes a whole curve of
 	// equivalent-window ratio searches (the unit of Figures 7-9)
@@ -68,12 +66,11 @@ type Context struct {
 	// probe path is a fixed function of its inputs (metrics.Search), not
 	// of where it executes — but a server-side curve is one round trip
 	// where even a batched local search needs several per ratio point.
-	// daemon.Client.RatioBatch and daemon.FleetClient.RatioBatch have
-	// this signature (repro -remote attaches it unless
-	// -remote-batch=false). Set it before the first experiment runs.
+	// daemon.FleetClient.RatioBatch has this signature (repro -remote
+	// attaches it). Set it before the first experiment runs.
 	RemoteSearch func(workload string, scale int, fingerprint string, params []machine.Params) ([]RatioAnswer, error)
 	// Degrade, when set, arms every runner's last-resort fallback: a
-	// Remote/RemoteBatch call failing with sweep.ErrUnavailable (every
+	// RemoteBatch call failing with sweep.ErrUnavailable (every
 	// candidate replica down or exhausted — daemon.FleetClient reports
 	// exactly that) is answered by simulating the affected points
 	// locally instead of failing the experiment, counted under
@@ -109,6 +106,9 @@ func NewContext() *Context {
 // Runner returns the memoizing runner for a workload, building the trace
 // and lowering it on first use.
 func (c *Context) Runner(name string) (*sweep.Runner, error) {
+	if c.Remote != nil && c.RemoteBatch == nil {
+		return nil, errors.New("experiments: Context.Remote is set but RemoteBatch is nil; remote simulations travel only through RemoteBatch")
+	}
 	c.mu.Lock()
 	if e, ok := c.runners[name]; ok {
 		c.mu.Unlock()
@@ -143,12 +143,6 @@ func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 	r.Parallelism = c.Parallelism
 	r.Store = c.Cache
 	r.Degrade = c.Degrade
-	if c.Remote != nil {
-		remote, scale, fp := c.Remote, c.Scale, suite.Fingerprint()
-		r.Remote = func(pt sweep.Point) (*engine.Result, error) {
-			return remote(name, scale, fp, pt)
-		}
-	}
 	if c.RemoteBatch != nil {
 		rb, scale, fp := c.RemoteBatch, c.Scale, suite.Fingerprint()
 		r.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
@@ -336,7 +330,7 @@ func (c *Context) FigureNamed(num int, name string) (*FigureResult, error) {
 			pts = append(pts, sweep.Point{Kind: cfg.kind, P: machine.Params{Window: w, MD: cfg.md}})
 		}
 	}
-	results, err := r.RunAll(pts)
+	results, err := r.RunBatch(pts)
 	if err != nil {
 		return nil, err
 	}

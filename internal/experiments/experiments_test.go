@@ -6,10 +6,15 @@ package experiments
 // paper's story. EXPERIMENTS.md records the quantitative details.
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"daesim/internal/engine"
+	"daesim/internal/machine"
+	"daesim/internal/sweep"
 	"daesim/internal/workloads"
 )
 
@@ -559,5 +564,41 @@ func TestRatioFigureSimCount(t *testing.T) {
 		if !reflect.DeepEqual(res.Series, want.Series) || !reflect.DeepEqual(res.Saturated, want.Saturated) {
 			t.Errorf("par=%d: Figure 7 differs from par=1's", par)
 		}
+	}
+}
+
+// TestRemoteWithoutRemoteBatchFails: Remote is no longer a routing
+// hook, so a Context wired with only the point-wise shape must refuse
+// to build runners — naming RemoteBatch — instead of silently
+// simulating locally; with RemoteBatch set as well, every RunWith miss
+// travels through RemoteBatch and Remote is never called.
+func TestRemoteWithoutRemoteBatchFails(t *testing.T) {
+	pointwise := func(string, int, string, sweep.Point) (*engine.Result, error) {
+		t.Error("Context.Remote must never be called")
+		return nil, errors.New("unreachable")
+	}
+	c := NewContext()
+	c.Remote = pointwise
+	if _, err := c.Runner("TRFD"); err == nil || !strings.Contains(err.Error(), "RemoteBatch") {
+		t.Fatalf("Runner with only Remote set: err = %v, want an error naming RemoteBatch", err)
+	}
+
+	local := NewContext()
+	exec, err := local.Runner("TRFD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RemoteBatch = func(_ string, _ int, _ string, pts []sweep.Point) ([]*engine.Result, error) {
+		return exec.RunBatch(pts)
+	}
+	r, err := c.Runner("TRFD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.RemoteHits != 1 || st.Sims != 0 {
+		t.Errorf("a RunWith miss should travel through RemoteBatch: %+v", st)
 	}
 }

@@ -37,7 +37,7 @@ const (
 	// true — a virtual client-side deadline, no wall clock burned.
 	Timeout
 	// Slow delays the operation by the rule's Delay, then lets it
-	// proceed (tail-latency injection for hedging tests).
+	// proceed (tail-latency injection).
 	Slow
 	// Truncate lets the operation complete, then cuts its payload short
 	// at a seed-determined position.

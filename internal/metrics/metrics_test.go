@@ -133,7 +133,7 @@ func TestEquivalentWindowAgainstSuite(t *testing.T) {
 func batchedRunner(s *machine.Suite) (batched, exec *sweep.Runner) {
 	exec = sweep.NewRunner(s)
 	batched = sweep.NewRunner(s)
-	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) { return exec.RunAll(pts) }
+	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) { return exec.RunBatch(pts) }
 	return batched, exec
 }
 
@@ -246,7 +246,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	waves := 0
 	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
 		waves++
-		return exec.RunAll(pts)
+		return exec.RunBatch(pts)
 	}
 	w, ok, err := NewSearch(batched).EquivalentWindow(p, dm.Cycles)
 	if err != nil {
@@ -275,7 +275,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		if firstWave == nil {
 			firstWave = append([]sweep.Point(nil), pts...)
 		}
-		return execR.RunAll(pts)
+		return execR.RunBatch(pts)
 	}
 	if _, _, err := NewSearch(batchedR).EquivalentWindowRatio(p); err != nil {
 		t.Fatal(err)
@@ -288,39 +288,35 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 // TestLocalSearchStopsAtFirstDecidingProbe: a local search runs each
 // wave in order and stops at the first probe that meets the target,
 // because the search reads nothing after it. Run over the same grid,
-// point by point through a Remote hook and wave by wave through a
-// RemoteBatch hook, the ratio searches must agree, and the point-wise
-// probes must be a strict subset of the batched ones.
+// locally (each simulated probe lands in a store) and wave by wave
+// through a RemoteBatch hook, the ratio searches must agree, and the
+// local probes must be a strict subset of the batched ones.
 func TestLocalSearchStopsAtFirstDecidingProbe(t *testing.T) {
 	s := smallSuite(t)
-	key := func(pt sweep.Point) string {
-		k, ok := pt.P.CacheKey(pt.Kind)
-		if !ok {
-			t.Fatalf("uncacheable probe %+v", pt)
-		}
-		return k
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	pointExec := sweep.NewRunner(s)
-	pointwise := sweep.NewRunner(s)
-	pointProbes := map[string]bool{}
-	pointwise.Remote = func(pt sweep.Point) (*engine.Result, error) {
-		pointProbes[key(pt)] = true
-		return pointExec.Run(pt)
-	}
+	local := sweep.NewRunner(s)
+	local.Store = store
 	batchExec := sweep.NewRunner(s)
 	batched := sweep.NewRunner(s)
-	batchProbes := map[string]bool{}
+	batchProbes := map[string]sweep.Point{}
 	batched.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
 		for _, pt := range pts {
-			batchProbes[key(pt)] = true
+			k, ok := pt.P.CacheKey(pt.Kind)
+			if !ok {
+				t.Fatalf("uncacheable probe %+v", pt)
+			}
+			batchProbes[k] = pt
 		}
-		return batchExec.RunAll(pts)
+		return batchExec.RunBatch(pts)
 	}
-	pwSearch, bSearch := NewSearch(pointwise), NewSearch(batched)
+	lSearch, bSearch := NewSearch(local), NewSearch(batched)
 	for _, md := range []int{0, 20, 40} {
 		for _, w := range []int{4, 8, 12, 20} {
 			p := machine.Params{Window: w, MD: md}
-			pr, pok, err := pwSearch.EquivalentWindowRatio(p)
+			lr, lok, err := lSearch.EquivalentWindowRatio(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,20 +324,34 @@ func TestLocalSearchStopsAtFirstDecidingProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pr != br || pok != bok {
-				t.Errorf("md=%d w=%d: point-wise (%v, %v) differs from batched (%v, %v)", md, w, pr, pok, br, bok)
+			if lr != br || lok != bok {
+				t.Errorf("md=%d w=%d: local (%v, %v) differs from batched (%v, %v)", md, w, lr, lok, br, bok)
 			}
 		}
 	}
-	for k := range pointProbes { //daelint:nondeterministic-ok subset check: every key is tested and the order reaches no value
-		if !batchProbes[k] {
-			t.Errorf("point-wise search probed %s, which no batched wave carried", k)
-		}
+	// The store holds exactly the local probes. A fresh runner over it
+	// replays the batched probe set: every local probe must come back
+	// as a store hit, so local ⊆ batched.
+	localProbes := store.Len()
+	if int64(localProbes) != local.Stats().Sims {
+		t.Fatalf("store holds %d entries for %d local sims", localProbes, local.Stats().Sims)
 	}
-	if len(pointProbes) >= len(batchProbes) {
-		t.Errorf("point-wise search probed %d points, batched %d: local waves should stop at their deciding probe", len(pointProbes), len(batchProbes))
+	var replay []sweep.Point
+	for _, pt := range batchProbes { //daelint:nondeterministic-ok the replay is counted, not ordered; order reaches no value
+		replay = append(replay, pt)
 	}
-	t.Logf("probes: point-wise %d, batched %d", len(pointProbes), len(batchProbes))
+	check := sweep.NewRunner(s)
+	check.Store = store
+	if _, err := check.RunBatch(replay); err != nil {
+		t.Fatal(err)
+	}
+	if hits := check.Stats().StoreHits; hits != int64(localProbes) {
+		t.Errorf("only %d of the %d local probes were carried by a batched wave", hits, localProbes)
+	}
+	if localProbes >= len(batchProbes) {
+		t.Errorf("local search probed %d points, batched %d: local waves should stop at their deciding probe", localProbes, len(batchProbes))
+	}
+	t.Logf("probes: local %d, batched %d", localProbes, len(batchProbes))
 }
 
 // TestEquivalentWindowHintInvariance: the bracket hint (p.Window) must

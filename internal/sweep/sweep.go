@@ -55,7 +55,7 @@ type CacheStats struct {
 	L1Hits int64
 	// StoreHits are points loaded from the persistent Store.
 	StoreHits int64
-	// RemoteHits are points served by a remote daemon (Runner.Remote).
+	// RemoteHits are points served by a remote daemon (Runner.RemoteBatch).
 	RemoteHits int64
 	// RemoteSearches are whole equivalent-window searches answered
 	// server-side by a remote daemon (experiments.Context.RemoteSearch)
@@ -102,8 +102,8 @@ func (s CacheStats) HitRate() float64 {
 // Runner executes points against one suite.
 type Runner struct {
 	Suite *machine.Suite
-	// Parallelism bounds the worker pool of RunAll and RunBatch
-	// (default: GOMAXPROCS). Set it to 1 to run them serially, e.g. for
+	// Parallelism bounds the worker pool of RunBatch (default:
+	// GOMAXPROCS). Set it to 1 to run batches serially, e.g. for
 	// deterministic profiling. It does not bound equivalent-window
 	// searches (metrics.Search): a search runs its probes in order on
 	// its own scratch, and callers that run several searches at once
@@ -112,35 +112,29 @@ type Runner struct {
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
 	Store *Store
-	// Remote, when non-nil, executes cacheable points that miss the local
-	// layers — typically a daemon client (internal/daemon.Client.Run bound
-	// to a workload), so a sweep runs against a long-lived sweepd's shared
-	// cache instead of simulating locally. Remote results are installed
-	// into the local Store (when attached) like any fill. A Remote error
-	// fails the point: a misconfigured or unreachable daemon should
-	// surface, not silently degrade to local simulation (the one
-	// explicit exception is Degrade + ErrUnavailable). Uncacheable
-	// points (custom Params.Mem) never route remotely — a MemModel is
-	// arbitrary local code. Set it before the first Run.
-	Remote func(Point) (*engine.Result, error)
-	// RemoteBatch, when non-nil, executes a whole set of cacheable
-	// misses in one call — typically a daemon fleet client
+	// RemoteBatch, when non-nil, executes the cacheable points that miss
+	// the local layers — typically a daemon fleet client
 	// (internal/daemon.FleetClient.RunBatch bound to a workload), so a
-	// probe wave or figure sweep becomes one HTTP round trip per
-	// replica instead of one request per point. RunBatch and RunAll
-	// consult it for the points that miss the local layers; single-point
-	// paths (RunWith) still use Remote, so set both when attaching a
-	// remote. Same contract as Remote otherwise: errors surface loudly,
-	// results install into the local Store, uncacheable points never
-	// route. Set it before the first Run.
+	// sweep runs against long-lived sweepd replicas' shared caches
+	// instead of simulating locally. It is the only remote hook: a
+	// RunBatch sends all of its misses in one call, so a probe wave or
+	// figure sweep costs one round trip per replica, and a RunWith miss
+	// sends its one point. Remote results are installed into the local
+	// Store (when attached) like any fill. A remote error fails the
+	// call: a misconfigured or unreachable daemon should surface, not
+	// silently degrade to local simulation (the one explicit exception
+	// is Degrade + ErrUnavailable). Uncacheable points (custom
+	// Params.Mem) never route remotely — a MemModel is arbitrary local
+	// code. Set it before the first Run.
 	RemoteBatch func([]Point) ([]*engine.Result, error)
 	// Degrade is the last rung of the failure ladder: when set, a
-	// Remote/RemoteBatch failure that wraps ErrUnavailable (every owner
-	// of the point is down) falls back to local simulation — counted as
-	// Degraded, installed into the Store like any fill, byte-identical
-	// by determinism — instead of failing the sweep. Any other remote
-	// error still surfaces loudly, so misconfiguration (bad URL, skew,
-	// bad request) never silently degrades.
+	// RemoteBatch failure that wraps ErrUnavailable (every owner of a
+	// point is down) falls back to local simulation of the points the
+	// hook could not serve — counted as Degraded, installed into the
+	// Store like any fill, byte-identical by determinism — instead of
+	// failing the call. Any other remote error still surfaces loudly,
+	// so misconfiguration (bad URL, skew, bad request) never silently
+	// degrades.
 	Degrade bool
 
 	mu     sync.Mutex
@@ -183,7 +177,7 @@ func (r *Runner) storeKey(pt Point) (string, bool) {
 // persistent Store. Returned Results are private copies: the canonical
 // cached Result never escapes, so callers may mutate what they get back.
 //
-//daelint:ctx-root cancellation rides the Remote hook's captured context; local simulation is not cancellable mid-run
+//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
 func (r *Runner) RunWith(sim *engine.Sim, pt Point) (*engine.Result, error) {
 	if pt.P.Mem != nil {
 		r.uncacheable.Add(1)
@@ -225,8 +219,7 @@ func (r *Runner) RunWith(sim *engine.Sim, pt Point) (*engine.Result, error) {
 }
 
 // fill produces the canonical result for a cacheable point: from the
-// persistent store when possible, else by simulating (and installing the
-// result back into the store).
+// persistent store when possible, else through fillMisses.
 func (r *Runner) fill(sim *engine.Sim, pt Point) (*engine.Result, error) {
 	if r.Store != nil {
 		if sk, ok := r.storeKey(pt); ok {
@@ -236,46 +229,99 @@ func (r *Runner) fill(sim *engine.Sim, pt Point) (*engine.Result, error) {
 			}
 		}
 	}
-	return r.fillMiss(sim, pt)
+	res, err := r.fillMisses(sim, []Point{pt}, []int{0})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// fillMiss produces the canonical result for a point already known to
-// miss the store — the point-wise remote hook or the local simulator —
-// and installs it. Callers that just proved the store miss (RunBatch's
-// parallel peel) come here directly rather than paying a second Get.
-func (r *Runner) fillMiss(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	var res *engine.Result
-	var err error
-	if r.Remote != nil {
-		res, err = r.Remote(pt)
+// fillMisses produces the canonical results for the points pts[i], i in
+// miss, which are known to miss both local layers, and installs them
+// into the Store; out[j] answers pts[miss[j]]. It is the one place the
+// remote hook is called: with RemoteBatch set, every miss travels in
+// one call, and under Degrade an ErrUnavailable reply's unserved (nil)
+// slots — possibly all of them — are simulated here instead. Without
+// the hook every miss simulates here. A single local miss runs on sim
+// (nil draws from the engine's pool), so RunWith's callers keep their
+// warm scratch; more fan out across the worker pool. Error indices are
+// pts-relative, matching the caller's point list.
+func (r *Runner) fillMisses(sim *engine.Sim, pts []Point, miss []int) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(miss))
+	remote := r.RemoteBatch != nil
+	if remote {
+		mpts := make([]Point, len(miss))
+		for j, i := range miss {
+			mpts[j] = pts[i]
+		}
+		got, err := r.RemoteBatch(mpts)
 		switch {
-		case err == nil:
-			r.remoteHits.Add(1)
-		case r.Degrade && errors.Is(err, ErrUnavailable):
-			// Every owner is down: simulate locally so the sweep
-			// completes (byte-identically — the remote would have run
-			// the same deterministic simulation).
-			res, err = r.Suite.RunWith(sim, pt.Kind, pt.P)
-			if err != nil {
-				return nil, err
+		case err != nil && (!r.Degrade || !errors.Is(err, ErrUnavailable)):
+			return nil, err
+		case err != nil:
+			// Partial-batch degradation: accept what the surviving
+			// owners served and simulate the rest below, so one dead
+			// replica (or a whole dead fleet) degrades the call
+			// instead of failing it.
+			if len(got) == len(mpts) {
+				copy(out, got)
 			}
-			r.degraded.Add(1)
+		case len(got) != len(mpts):
+			return nil, fmt.Errorf("sweep: remote batch returned %d results for %d points", len(got), len(mpts))
 		default:
-			return nil, err
+			for j, res := range got {
+				if res == nil {
+					// Never settle a nil into the L1 or persist it.
+					return nil, fmt.Errorf("sweep: remote batch returned a nil result for point %d", miss[j])
+				}
+			}
+			copy(out, got)
 		}
-	} else {
-		res, err = r.Suite.RunWith(sim, pt.Kind, pt.P)
-		if err != nil {
-			return nil, err
-		}
-		r.sims.Add(1)
 	}
+	var local []int
+	for j, res := range out {
+		if res != nil {
+			r.remoteHits.Add(1)
+			r.install(pts[miss[j]], res)
+		} else {
+			local = append(local, j)
+		}
+	}
+	errs := make([]error, len(local))
+	simulate := func(sim *engine.Sim, t int) {
+		j := local[t]
+		pt := pts[miss[j]]
+		out[j], errs[t] = r.Suite.RunWith(sim, pt.Kind, pt.P)
+		if errs[t] != nil {
+			return
+		}
+		if remote {
+			r.degraded.Add(1)
+		} else {
+			r.sims.Add(1)
+		}
+		r.install(pt, out[j])
+	}
+	if len(local) == 1 {
+		simulate(sim, 0)
+	} else {
+		r.forEach(len(local), simulate)
+	}
+	for t, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", miss[local[t]], err)
+		}
+	}
+	return out, nil
+}
+
+// install writes a freshly filled result to the Store, when attached.
+func (r *Runner) install(pt Point, res *engine.Result) {
 	if r.Store != nil {
 		if sk, ok := r.storeKey(pt); ok {
 			r.Store.Put(sk, res)
 		}
 	}
-	return res, nil
 }
 
 // Stats returns a snapshot of the runner's cache traffic.
@@ -294,8 +340,7 @@ func (r *Runner) Stats() CacheStats {
 // min(Parallelism, n) worker goroutines, each owning one scratch
 // context; with a single worker it runs inline. fn communicates
 // through its captures (result and error slices indexed by i). This is
-// the one worker-pool shape RunAll, RunBatch's store peel and
-// fillBatch all share.
+// the one worker-pool shape RunBatch's store peel and fillMisses share.
 //
 //daelint:ctx-root workers drain a closed channel of at most n indices; there is no caller to cancel for
 func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
@@ -335,14 +380,15 @@ func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
 }
 
 // RunBatch executes a set of points as one unit, preserving order: L1
-// and Store hits are peeled off locally, and the remaining misses go to
-// RemoteBatch in a single call when it is set (else they are simulated
-// locally in parallel). This is the request-collapsing path of remote
-// sweeps — a probe wave whose points are all warm issues no remote
-// traffic at all — and it keeps the single-flight contract: misses are
-// claimed before filling, so concurrent overlapping batches never
-// duplicate a simulation. The first error aborts the batch; failed
-// claims are dropped so later callers retry.
+// and Store hits are peeled off locally, and the remaining misses go
+// through fillMisses — to RemoteBatch in a single call when it is set,
+// else simulated locally in parallel. This is the request-collapsing
+// path of remote sweeps — a probe wave whose points are all warm issues
+// no remote traffic at all — and it keeps the single-flight contract:
+// misses are claimed before filling, so concurrent overlapping batches
+// (and RunWith calls) never duplicate a simulation or a remote point.
+// The first error aborts the batch; failed claims are dropped so later
+// callers retry.
 //
 //daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
 func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
@@ -368,12 +414,10 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 	}
 	r.mu.Unlock()
 
-	// Fill owned claims: store first, then the misses — remotely in one
-	// batch when RemoteBatch is set, else locally across the pool. The
-	// store peel fans its blob reads (disk + decode + checksum) across
-	// the worker pool: a warm-store batch is exactly the case batching
-	// exists to make fast, so it must not serialize the I/O the
-	// point-wise path already overlapped.
+	// Fill owned claims: store first, then the misses. The store peel
+	// fans its blob reads (disk + decode + checksum) across the worker
+	// pool: a warm-store batch is exactly the case batching exists to
+	// make fast, so it must not serialize that I/O.
 	var misses []claim
 	if r.Store == nil {
 		misses = owned
@@ -398,27 +442,29 @@ func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
 		}
 	}
 	if len(misses) > 0 {
-		if err := r.fillBatch(pts, misses, func(c claim, res *engine.Result) {
-			c.e.res = res
-			close(c.e.ready)
-			out[c.idx] = res.Clone()
-		}); err != nil {
-			// Drop the unfilled claims so later callers retry, and
-			// settle their waiters with the error.
+		idx := make([]int, len(misses))
+		for j, c := range misses {
+			idx[j] = c.idx
+		}
+		results, err := r.fillMisses(nil, pts, idx)
+		if err != nil {
+			// Drop the claims so later callers retry, and settle their
+			// waiters with the error.
 			r.mu.Lock()
 			for _, c := range misses {
-				if c.e.res == nil {
-					delete(r.cache, c.k)
-				}
+				delete(r.cache, c.k)
 			}
 			r.mu.Unlock()
 			for _, c := range misses {
-				if c.e.res == nil {
-					c.e.err = err
-					close(c.e.ready)
-				}
+				c.e.err = err
+				close(c.e.ready)
 			}
 			return nil, err
+		}
+		for j, c := range misses {
+			c.e.res = results[j]
+			close(c.e.ready)
+			out[c.idx] = results[j].Clone()
 		}
 	}
 
@@ -457,109 +503,6 @@ type claim struct {
 	k   key
 }
 
-// fillBatch produces canonical results for claimed misses and hands
-// each to settle. With RemoteBatch: one remote call for the whole set.
-// Without: local simulation across the worker pool. Results install
-// into the Store either way.
-func (r *Runner) fillBatch(pts []Point, misses []claim, settle func(c claim, res *engine.Result)) error {
-	if r.RemoteBatch != nil {
-		mpts := make([]Point, len(misses))
-		for j, c := range misses {
-			mpts[j] = pts[c.idx]
-		}
-		results, err := r.RemoteBatch(mpts)
-		var unserved []bool
-		if err != nil {
-			if !r.Degrade || !errors.Is(err, ErrUnavailable) {
-				return err
-			}
-			// Partial-batch degradation: the hook ran the wave against
-			// the surviving owners and returned what it could (slots it
-			// could not serve are nil — possibly all of them). Accept
-			// the served slots as remote hits and simulate the rest
-			// locally, so one dead replica (or a whole dead fleet)
-			// degrades the wave instead of failing it.
-			if len(results) != len(mpts) {
-				results = make([]*engine.Result, len(mpts))
-			}
-			unserved = make([]bool, len(mpts))
-			errs := make([]error, len(mpts))
-			r.forEach(len(mpts), func(sim *engine.Sim, j int) {
-				if results[j] != nil {
-					return
-				}
-				unserved[j] = true
-				results[j], errs[j] = r.Suite.RunWith(sim, mpts[j].Kind, mpts[j].P)
-			})
-			for j, serr := range errs {
-				if serr != nil {
-					return fmt.Errorf("sweep: point %d: %w", misses[j].idx, serr)
-				}
-			}
-		}
-		if len(results) != len(mpts) {
-			return fmt.Errorf("sweep: remote batch returned %d results for %d points", len(results), len(mpts))
-		}
-		for j, res := range results {
-			if res == nil {
-				// Never settle a nil into the L1 or persist it: fail the
-				// batch loudly like any other remote error. Indices in
-				// errors are caller-relative (the batch's point list),
-				// matching the local path.
-				return fmt.Errorf("sweep: remote batch returned a nil result for point %d", misses[j].idx)
-			}
-		}
-		for j, c := range misses {
-			if unserved != nil && unserved[j] {
-				r.degraded.Add(1)
-			} else {
-				r.remoteHits.Add(1)
-			}
-			if r.Store != nil {
-				if sk, ok := r.storeKey(pts[c.idx]); ok {
-					r.Store.Put(sk, results[j])
-				}
-			}
-			settle(c, results[j])
-		}
-		return nil
-	}
-	results := make([]*engine.Result, len(misses))
-	errs := make([]error, len(misses))
-	r.forEach(len(misses), func(sim *engine.Sim, j int) {
-		results[j], errs[j] = r.fillMiss(sim, pts[misses[j].idx])
-	})
-	for j, err := range errs {
-		if err != nil {
-			return fmt.Errorf("sweep: point %d: %w", misses[j].idx, err)
-		}
-	}
-	for j, c := range misses {
-		settle(c, results[j])
-	}
-	return nil
-}
-
-// RunAll executes all points, in parallel, preserving order. The first
-// error aborts the sweep. With RemoteBatch attached the whole sweep
-// collapses into batched remote calls (see RunBatch).
-func (r *Runner) RunAll(pts []Point) ([]*engine.Result, error) {
-	if r.RemoteBatch != nil {
-		return r.RunBatch(pts)
-	}
-	out := make([]*engine.Result, len(pts))
-	errs := make([]error, len(pts))
-	r.forEach(len(pts), func(sim *engine.Sim, i int) {
-		out[i], errs[i] = r.RunWith(sim, pts[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // Series is a named sequence of (x, y) samples, one curve of a figure.
 type Series struct {
 	Name string
@@ -576,7 +519,7 @@ func (r *Runner) WindowSweep(kind machine.Kind, base machine.Params, windows []i
 		p.Window = w
 		pts[i] = Point{Kind: kind, P: p}
 	}
-	results, err := r.RunAll(pts)
+	results, err := r.RunBatch(pts)
 	if err != nil {
 		return Series{}, err
 	}

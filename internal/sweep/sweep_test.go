@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -125,13 +126,13 @@ func (m *countingMem) Reset()                                    { m.calls.Add(1
 
 var _ engine.MemModel = (*countingMem)(nil)
 
-func TestRunAllOrderAndParallel(t *testing.T) {
+func TestRunBatchOrderAndParallel(t *testing.T) {
 	r := testRunner(t)
 	var pts []Point
 	for _, w := range []int{2, 4, 8, 16, 32} {
 		pts = append(pts, Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}})
 	}
-	results, err := r.RunAll(pts)
+	results, err := r.RunBatch(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 	// Serial path must agree with the parallel path.
 	r2 := testRunner(t)
 	r2.Parallelism = 1
-	serial, err := r2.RunAll(pts)
+	serial, err := r2.RunBatch(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRunAll: the batched path answers exactly what the
-// point-wise path would — including duplicates, cached points and
-// uncacheable custom-Mem points — with the same counters a point-wise
-// run would produce.
-func TestRunBatchMatchesRunAll(t *testing.T) {
+// TestRunBatchMatchesRunWith: the batched path answers exactly what
+// point-by-point RunWith calls would — including duplicates, cached
+// points and uncacheable custom-Mem points — with the same counters a
+// point-by-point run would produce.
+func TestRunBatchMatchesRunWith(t *testing.T) {
 	oracle := testRunner(t)
 	r := testRunner(t)
 	var calls atomic.Int64
@@ -183,13 +184,15 @@ func TestRunBatchMatchesRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.RunAll(pts)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*engine.Result, len(pts))
+	for i, pt := range pts {
+		if want[i], err = oracle.RunWith(nil, pt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range pts {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("point %d: batch result differs from point-wise", i)
+			t.Errorf("point %d: batch result differs from RunWith", i)
 		}
 	}
 	st := r.Stats()
@@ -221,7 +224,7 @@ func TestRunBatchRemote(t *testing.T) {
 		}
 		calls.Add(1)
 		points.Add(int64(len(pts)))
-		return exec.RunAll(pts)
+		return exec.RunBatch(pts)
 	}
 
 	var pts []Point
@@ -239,7 +242,7 @@ func TestRunBatchRemote(t *testing.T) {
 		}
 		calls.Add(1)
 		points.Add(int64(len(pts)))
-		return exec.RunAll(pts)
+		return exec.RunBatch(pts)
 	}
 
 	got, err := r.RunBatch(pts)
@@ -255,7 +258,7 @@ func TestRunBatchRemote(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[i].Cycles != local.Cycles {
-			t.Errorf("point %d: remote-batched result differs", i)
+			t.Errorf("point %d: result through the remote batch differs", i)
 		}
 	}
 	// Warm batch: everything is an L1 hit, nothing travels.
@@ -270,12 +273,12 @@ func TestRunBatchRemote(t *testing.T) {
 		t.Errorf("want 3 remote hits and the 1 pre-warmed local sim, got %+v", st)
 	}
 
-	// RunAll delegates to the batched path when the hook is set.
-	if _, err := r.RunAll(pts); err != nil {
+	// A warm RunWith is an L1 hit and travels nothing either.
+	if _, err := r.Run(pts[2]); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
-		t.Errorf("warm RunAll should not re-travel, remote calls went to %d", calls.Load())
+		t.Errorf("warm RunWith should not re-travel, remote calls went to %d", calls.Load())
 	}
 
 	// A remote failure surfaces and does not poison the cache.
@@ -377,10 +380,12 @@ func TestWindows(t *testing.T) {
 }
 
 // TestRemoteDegradeFallsBackLocally pins the last rung of the failure
-// ladder: a Remote failure wrapping ErrUnavailable fails loudly by
-// default, but with Degrade set the point simulates locally (counted
-// as Degraded, byte-identical to the local oracle). Any other remote
-// error still surfaces even with Degrade on.
+// ladder for a single point: a RemoteBatch failure wrapping
+// ErrUnavailable — with no results, or with the point's slot unserved —
+// fails loudly by default, but with Degrade set the point simulates
+// locally on the caller's scratch (counted as Degraded, byte-identical
+// to the local oracle). Any other remote error still surfaces even
+// with Degrade on.
 func TestRemoteDegradeFallsBackLocally(t *testing.T) {
 	pt := Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}
 	oracle := testRunner(t)
@@ -389,30 +394,140 @@ func TestRemoteDegradeFallsBackLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := testRunner(t)
-	r.Remote = func(Point) (*engine.Result, error) {
-		return nil, fmt.Errorf("daemon fleet: every owner down: %w", ErrUnavailable)
-	}
-	if _, err := r.Run(pt); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("without Degrade an unavailable fleet must fail loudly, got %v", err)
-	}
-	r.Degrade = true
-	got, err := r.Run(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("degraded result differs from the local oracle")
-	}
-	if st := r.Stats(); st.Degraded != 1 || st.Sims != 0 || st.RemoteHits != 0 {
-		t.Fatalf("degraded fill miscounted: %+v", st)
+	for _, tc := range []struct {
+		name string
+		hook func([]Point) ([]*engine.Result, error)
+	}{
+		{"no results", func([]Point) ([]*engine.Result, error) {
+			return nil, fmt.Errorf("daemon fleet: every owner down: %w", ErrUnavailable)
+		}},
+		{"unserved slot", func(pts []Point) ([]*engine.Result, error) {
+			return make([]*engine.Result, len(pts)), fmt.Errorf("down: %w", ErrUnavailable)
+		}},
+	} {
+		name := tc.name
+		r := testRunner(t)
+		r.RemoteBatch = tc.hook
+		if _, err := r.Run(pt); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("%s: without Degrade an unavailable fleet must fail loudly, got %v", name, err)
+		}
+		r.Degrade = true
+		got, err := r.RunWith(engine.NewSim(), pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: degraded result differs from the local oracle", name)
+		}
+		if st := r.Stats(); st.Degraded != 1 || st.Sims != 0 || st.RemoteHits != 0 {
+			t.Fatalf("%s: degraded fill miscounted: %+v", name, st)
+		}
 	}
 
 	r2 := testRunner(t)
 	r2.Degrade = true
-	r2.Remote = func(Point) (*engine.Result, error) { return nil, errors.New("version skew") }
+	r2.RemoteBatch = func([]Point) ([]*engine.Result, error) { return nil, errors.New("version skew") }
 	if _, err := r2.Run(pt); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("non-unavailable remote errors must not degrade: %v", err)
+	}
+}
+
+// TestRunWithMissSendsOnePoint: a RunWith miss travels through the one
+// remote hook carrying exactly its own point, and the answer is the
+// hook's; a warm repeat travels nothing.
+func TestRunWithMissSendsOnePoint(t *testing.T) {
+	exec := testRunner(t)
+	r := testRunner(t)
+	var sent [][]Point
+	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
+		sent = append(sent, append([]Point(nil), pts...))
+		return exec.RunBatch(pts)
+	}
+	pt := Point{Kind: machine.SWSM, P: machine.Params{Window: 12, MD: 30}}
+	got, err := r.RunWith(engine.NewSim(), pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != 1 || len(sent[0]) != 1 || !reflect.DeepEqual(sent[0][0], pt) {
+		t.Fatalf("RunWith miss should send exactly its one point, sent %v", sent)
+	}
+	want, err := exec.Run(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("RunWith returned something other than the remote answer")
+	}
+	if _, err := r.Run(pt); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != 1 {
+		t.Errorf("warm RunWith travelled again: %d hook calls", len(sent))
+	}
+	if st := r.Stats(); st.RemoteHits != 1 || st.L1Hits != 1 || st.Sims != 0 {
+		t.Errorf("want 1 remote hit and 1 L1 hit, got %+v", st)
+	}
+}
+
+// TestConcurrentRunWithAndRunBatchShareHook: RunWith and RunBatch
+// callers racing over overlapping points share the single-flight L1, so
+// the hook sees each distinct point exactly once, whichever caller
+// claimed it.
+func TestConcurrentRunWithAndRunBatchShareHook(t *testing.T) {
+	exec := testRunner(t)
+	r := testRunner(t)
+	var mu sync.Mutex
+	seen := map[Point]int{}
+	r.RemoteBatch = func(pts []Point) ([]*engine.Result, error) {
+		mu.Lock()
+		for _, pt := range pts {
+			seen[pt]++
+		}
+		mu.Unlock()
+		return exec.RunBatch(pts)
+	}
+	var pts []Point
+	for w := 2; w <= 24; w += 2 {
+		pts = append(pts, Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*len(pts))
+	for g := 0; g < 3; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			// Overlapping halves, shifted per goroutine.
+			_, err := r.RunBatch(pts[g*2 : g*2+len(pts)/2])
+			errs <- err
+		}(g)
+		go func() {
+			defer wg.Done()
+			sim := engine.NewSim()
+			for i := len(pts) - 1; i >= 0; i-- {
+				if _, err := r.RunWith(sim, pts[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != len(pts) {
+		t.Errorf("hook saw %d distinct points, want %d", len(seen), len(pts))
+	}
+	for pt, n := range seen { //daelint:nondeterministic-ok every entry is checked; order reaches no value
+		if n != 1 {
+			t.Errorf("point %+v travelled %d times, want once", pt, n)
+		}
+	}
+	if st := r.Stats(); st.RemoteHits != int64(len(pts)) || st.Sims != 0 {
+		t.Errorf("want %d remote hits and no local sims, got %+v", len(pts), st)
 	}
 }
 
@@ -427,7 +542,7 @@ func TestRemoteBatchPartialDegrade(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pts = append(pts, Point{Kind: machine.DM, P: machine.Params{Window: 8 + i, MD: 30}})
 	}
-	want, err := oracle.RunAll(pts)
+	want, err := oracle.RunBatch(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
