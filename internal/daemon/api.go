@@ -203,7 +203,9 @@ type SearchRequest struct {
 	Params Params `json:"params"`
 	// TargetCycles is the time to match (SearchWindow only).
 	TargetCycles int64 `json:"target_cycles,omitempty"`
-	// Windows is the ascending scan grid (SearchCrossover only).
+	// Windows is the scan grid (SearchCrossover only): strictly
+	// ascending windows of at least 1, at most MaxBatchItems of them.
+	// Any other grid is refused with 400.
 	Windows []int `json:"windows,omitempty"`
 }
 

@@ -519,6 +519,44 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestCrossoverGridRejected: a crossover grid must be strictly
+// ascending, hold windows of at least 1, and be no longer than
+// MaxBatchItems. Anything else is a 400 naming the fault, refused
+// before anything simulates.
+func TestCrossoverGridRejected(t *testing.T) {
+	t.Parallel()
+	handler := NewServer(Config{}).Handler()
+	long := make([]int, MaxBatchItems+1)
+	for i := range long {
+		long[i] = i + 1
+	}
+	for _, tc := range []struct {
+		name    string
+		windows []int
+		want    string
+	}{
+		{"empty", nil, "needs a windows grid"},
+		{"descending", []int{64, 8}, "not strictly ascending at index 1"},
+		{"repeated", []int{8, 16, 16, 32}, "not strictly ascending at index 2"},
+		{"zero", []int{0, 8}, "below 1"},
+		{"negative", []int{-4, 8}, "below 1"},
+		{"oversized", long, fmt.Sprintf("%d-window limit", MaxBatchItems)},
+	} {
+		body, err := json.Marshal(BatchSearchRequest{Items: []SearchRequest{{
+			Target: Target{Workload: testWorkload}, Op: SearchCrossover, Params: Params{MD: 0}, Windows: tc.windows,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch/search", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s grid: answered %d %q, want 400 containing %q", tc.name, rec.Code, rec.Body.String(), tc.want)
+		}
+	}
+}
+
 // TestConcurrencyLimitQueues proves MaxConcurrent=1 serializes without
 // rejecting: concurrent requests all succeed.
 func TestConcurrencyLimitQueues(t *testing.T) {

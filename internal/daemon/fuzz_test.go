@@ -116,6 +116,21 @@ func FuzzBatchRunDecode(f *testing.F) {
 
 // FuzzBatchSearchDecode fuzzes the /v1/batch/search decoder.
 func FuzzBatchSearchDecode(f *testing.F) {
+	// Hostile crossover grids: unsorted, repeated, non-positive and
+	// oversized grids must all be refused with 400.
+	for _, grid := range []string{`[64,8]`, `[8,8]`, `[0,8]`, `[-1]`} {
+		f.Add([]byte(`{"items":[{"workload":"TRFD","op":"crossover","params":{"md":0},"windows":` + grid + `}]}`))
+	}
+	var grid bytes.Buffer
+	grid.WriteString(`{"items":[{"workload":"TRFD","op":"crossover","params":{"md":0},"windows":[`)
+	for w := 1; w <= MaxBatchItems+1; w++ {
+		if w > 1 {
+			grid.WriteByte(',')
+		}
+		fmt.Fprint(&grid, w)
+	}
+	grid.WriteString(`]}]}`)
+	f.Add(grid.Bytes())
 	fuzzBatchEndpoint(f, "/v1/batch/search",
 		`{"items":[{"workload":"TRFD","op":"ratio","params":{"window":8,"md":10}}]}`)
 }

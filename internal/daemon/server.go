@@ -394,14 +394,36 @@ func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, i
 		if req.TargetCycles <= 0 {
 			return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: window search needs target_cycles > 0")
 		}
-	case SearchRatio, SearchCrossover:
-		if req.Op == SearchCrossover && len(req.Windows) == 0 {
-			return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: crossover search needs a windows grid")
+	case SearchRatio:
+	case SearchCrossover:
+		if err := checkGrid(req.Windows); err != nil {
+			return nil, machine.Params{}, http.StatusBadRequest, err
 		}
 	default:
 		return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: unknown search op %q (want %s, %s, %s)", req.Op, SearchWindow, SearchRatio, SearchCrossover)
 	}
 	return runner, p, 0, nil
+}
+
+// checkGrid validates a crossover grid. Crossover answers the first
+// SWSM-winning window in grid order, so only a strictly ascending grid
+// yields the smallest; and each window costs up to two simulations, so
+// the grid is capped like a batch.
+func checkGrid(windows []int) error {
+	switch {
+	case len(windows) == 0:
+		return fmt.Errorf("daemon: crossover search needs a windows grid")
+	case len(windows) > MaxBatchItems:
+		return fmt.Errorf("daemon: crossover grid of %d windows exceeds the %d-window limit", len(windows), MaxBatchItems)
+	case windows[0] < 1:
+		return fmt.Errorf("daemon: crossover grid window %d is below 1", windows[0])
+	}
+	for i := 1; i < len(windows); i++ {
+		if windows[i] <= windows[i-1] {
+			return fmt.Errorf("daemon: crossover grid is not strictly ascending at index %d (%d after %d)", i, windows[i], windows[i-1])
+		}
+	}
+	return nil
 }
 
 // execSearch runs one validated search. Each call owns its Search (a

@@ -7,6 +7,8 @@ package experiments
 
 import (
 	"errors"
+	"io/fs"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -512,6 +514,15 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestWriteAll renders every artifact and checks its SHA-256 against
+// testdata/artifacts.sha256, so a change that moves one figure value
+// fails here and names the artifact. A deliberate change is recorded
+// with
+//
+//	go test ./internal/experiments -run TestWriteAll -update
+//
+// after an engine.Version bump, or after adding a "# reason:" line to
+// the file's header.
 func TestWriteAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full regeneration is slow")
@@ -526,6 +537,31 @@ func TestWriteAll(t *testing.T) {
 	// cache + complexity.
 	if len(files) != 22 {
 		t.Errorf("want 22 artifact files, got %d", len(files))
+	}
+	got := artifactDigests(t, files)
+	text, err := os.ReadFile(digestPath)
+	if err != nil && !(*updateDigests && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatal(err)
+	}
+	want, err := parseDigests(string(text))
+	if *updateDigests {
+		next, err := updatedDigests(want, got, engine.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestPath, []byte(next.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", digestPath, err)
+	}
+	if want.version != engine.Version {
+		t.Errorf("%s was taken at %s, the engine is %s; re-run with -update", digestPath, want.version, engine.Version)
+	}
+	if changed := changedArtifacts(want.sums, got); len(changed) > 0 {
+		t.Errorf("artifacts differ from %s: %s", digestPath, strings.Join(changed, ", "))
 	}
 }
 

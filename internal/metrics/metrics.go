@@ -5,9 +5,11 @@
 //
 // The equivalent-window searches route every probe through a
 // sweep.Runner, so overlapping figure sweeps share memoized results.
-// A local search runs each probe wave in order on one warm engine.Sim
-// scratch and stops at the first probe it acts on; a batch-capable
-// remote runner gets each whole wave in one round trip (see Search).
+// One algorithm answers every search: a staged ladder of doublings
+// brackets the target, then fixed k-section waves close the bracket. A
+// search runs each probe wave in order on one warm engine.Sim scratch
+// and stops at the first probe it acts on, unless a batch-capable remote
+// runner can take the whole wave in one round trip (see Search).
 package metrics
 
 import (
@@ -41,99 +43,6 @@ func LHE(perfect, actual int64) float64 {
 // sweep so ratios near the top of Figures 7-9 resolve.
 const MaxEquivalentWindow = 8192
 
-// RunFunc reports the execution time at a given window size.
-type RunFunc func(window int) (int64, error)
-
-// EquivalentWindowFunc returns the smallest window at which run's time is
-// at most target cycles, exploiting monotonicity of time in window size.
-// ok is false if even MaxEquivalentWindow cannot reach the target.
-func EquivalentWindowFunc(run RunFunc, target int64) (window int, ok bool, err error) {
-	return searchFrom(run, target, 1)
-}
-
-// searchFrom is the serial search: probe the hint, then bracket by
-// exponential doubling upward (or binary refinement downward) and binary
-// search the bracket. With hint 1 it probes the exact sequence the
-// original from-scratch search did; a hint near the answer (e.g. the DM
-// window for a ratio search, whose result is almost always a small
-// multiple of it) skips the cold low-window rungs of the ladder, which
-// are also the slowest to simulate.
-func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err error) {
-	h := hint
-	if h < 1 {
-		h = 1
-	}
-	if h > MaxEquivalentWindow {
-		h = MaxEquivalentWindow
-	}
-	c, err := run(h)
-	if err != nil {
-		return 0, false, err
-	}
-	// (wFail, cFail) is the largest window known to miss the target,
-	// (hi, cHi) the smallest known to meet it; both anchor the
-	// interpolation steps below.
-	var lo, hi int
-	wFail, cFail := 0, int64(-1)
-	var cHi int64
-	if c <= target {
-		lo, hi, cHi = 1, h, c
-	} else {
-		wFail, cFail = h, c
-		// Exponential probe upward for an upper bound.
-		lo, hi = h+1, 2*h
-		for {
-			if hi >= MaxEquivalentWindow {
-				c, err := run(MaxEquivalentWindow)
-				if err != nil {
-					return 0, false, err
-				}
-				if c > target {
-					return MaxEquivalentWindow, false, nil
-				}
-				hi, cHi = MaxEquivalentWindow, c
-				break
-			}
-			c, err := run(hi)
-			if err != nil {
-				return 0, false, err
-			}
-			if c <= target {
-				cHi = c
-				break
-			}
-			lo = hi + 1
-			wFail, cFail = hi, c
-			hi *= 2
-		}
-	}
-	// Refine [lo, hi]; hi is known to meet the target. Steps alternate
-	// between interpolating the boundary from the bracket anchors (time
-	// is near-smooth in window size, so the secant estimate usually lands
-	// within a few slots of the answer) and plain bisection, which caps
-	// the worst case at 2x the probes of pure binary search.
-	for step := 0; lo < hi; step++ {
-		mid := (lo + hi) / 2
-		if step%2 == 0 && cFail > cHi && cFail > target {
-			est := float64(wFail) + float64(cFail-target)/float64(cFail-cHi)*float64(hi-wFail)
-			if m := int(est); m >= lo && m < hi {
-				mid = m
-			}
-		}
-		c, err := run(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if c <= target {
-			hi, cHi = mid, c
-		} else {
-			lo = mid + 1
-			wFail, cFail = mid, c
-		}
-	}
-	return hi, true, nil
-}
-
 // Search runs equivalent-window and crossover searches against one
 // sweep.Runner. It owns one engine.Sim scratch context, created on first
 // use, that stays warm across calls, so a figure sweep of many search
@@ -149,14 +58,14 @@ func searchFrom(run RunFunc, target int64, hint int) (window int, ok bool, err e
 // window on a laptop, a CI runner, and a sweepd fleet
 // (TestSearchDeterministicAcrossParallelism), and byte-identity between
 // local and remote reproductions is structural rather than lucky.
-// Execution has two strategies (evalWave): a Runner with a RemoteBatch
-// hook ships each whole wave in one round trip, which is what collapses
-// a remote search's request count (DESIGN.md §11); otherwise the wave
+// Execution has two strategies (evalWave), chosen from what the wave's
+// points allow: a Runner with a RemoteBatch hook ships each whole wave
+// of cacheable points in one round trip, which is what collapses a
+// remote search's request count (DESIGN.md §11); otherwise the wave
 // runs in order on the scratch and stops at its deciding probe, the
-// first one the search acts on. Points carrying a custom Params.Mem keep
-// the adaptive searchFrom path: its answers are pinned by the serial
-// probe order it has always had, and moving them waits for an
-// exact-crossing oracle. They never route remotely.
+// first one the search acts on. Points carrying a custom Params.Mem
+// cannot travel (a MemModel is local code), so their waves always run
+// in order.
 //
 // A Search is not safe for concurrent use by multiple goroutines;
 // callers fan independent searches out with one Search per goroutine.
@@ -178,27 +87,24 @@ func (s *Search) scratch() *engine.Sim {
 	return s.sim
 }
 
-// probe runs the SWSM at window w, memoized.
-func (s *Search) probe(p machine.Params, w int) (int64, error) {
-	q := p
-	q.Window = w
-	r, err := s.Runner.RunWith(s.scratch(), sweep.Point{Kind: machine.SWSM, P: q})
-	if err != nil {
-		return 0, err
-	}
-	return r.Cycles, nil
-}
+// waveFunc evaluates the SWSM times at the windows ws as one wave and
+// returns the times of an evaluated prefix: the search reads no probe
+// after a wave's deciding probe (the first time at most the target), so
+// the prefix may stop there, and must reach it when the wave has one.
+type waveFunc func(ws []int) ([]int64, error)
 
 // evalWave evaluates one wave of points and returns the times of an
-// evaluated prefix. A Runner with a RemoteBatch hook ships the whole
-// wave in one round trip. Otherwise the points run in order and the
-// wave stops at its deciding probe — the first whose time is at most
-// target — because ladderSearch and refine read no probe after it. When
-// anchored, pts[0] is the ratio search's DM anchor: it runs first and
-// its time becomes the target. Either way the search takes the same
-// path, so the strategy never changes an answer.
+// evaluated prefix. A Runner with a RemoteBatch hook ships a wave of
+// cacheable points in one round trip. Otherwise — no hook, or custom
+// Params.Mem points, which never travel — the points run in order and
+// the wave stops at its deciding probe, because ladderSearch and refine
+// read no probe after it. Every point of a wave shares its Params but
+// for the window, so pts[0] speaks for the wave. When anchored, pts[0]
+// is the ratio search's DM anchor: it runs first and its time becomes
+// the target. Either way the search takes the same path, so the
+// strategy never changes an answer.
 func (s *Search) evalWave(pts []sweep.Point, target int64, anchored bool) ([]int64, error) {
-	if s.Runner.RemoteBatch != nil {
+	if s.Runner.RemoteBatch != nil && pts[0].P.Mem == nil {
 		results, err := s.Runner.RunBatch(pts)
 		if err != nil {
 			return nil, err
@@ -225,16 +131,18 @@ func (s *Search) evalWave(pts []sweep.Point, target int64, anchored bool) ([]int
 	return times, nil
 }
 
-// evalBatch evaluates the SWSM time at the windows in ws as one wave
-// and returns the times of the evaluated prefix (see evalWave).
-func (s *Search) evalBatch(p machine.Params, ws []int, target int64) ([]int64, error) {
-	pts := make([]sweep.Point, len(ws))
-	for i, w := range ws {
-		q := p
-		q.Window = w
-		pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
+// swsmWave returns the evaluator of SWSM waves under p: each window of
+// a wave is a probe of p at that window (see evalWave).
+func (s *Search) swsmWave(p machine.Params, target int64) waveFunc {
+	return func(ws []int) ([]int64, error) {
+		pts := make([]sweep.Point, len(ws))
+		for i, w := range ws {
+			q := p
+			q.Window = w
+			pts[i] = sweep.Point{Kind: machine.SWSM, P: q}
+		}
+		return s.evalWave(pts, target, false)
 	}
-	return s.evalWave(pts, target, false)
 }
 
 // EquivalentWindow returns the smallest SWSM window (running the suite
@@ -250,23 +158,11 @@ func (s *Search) evalBatch(p machine.Params, ws []int, target int64) ([]int64, e
 // function of the hint and the probe results, never of execution
 // placement (the Search doc has the contract), so the answer
 // is reproducible everywhere and always satisfies
-// t(w) <= target < t(w-1). Only the hint can steer which boundary of a
-// wobble band is reported.
+// t(w) <= target < t(w-1). On every Figure 7-9 point the answer is the
+// first crossing itself, as an exhaustive profile confirms
+// (TestRatioSearchMatchesExactCrossing).
 func (s *Search) EquivalentWindow(p machine.Params, target int64) (window int, ok bool, err error) {
-	hint := clampHint(p.Window)
-	if p.Mem != nil {
-		return searchFrom(func(w int) (int64, error) { return s.probe(p, w) }, target, hint)
-	}
-	ladder := ladderWindows(hint)
-	end := ladderStage
-	if end > len(ladder) {
-		end = len(ladder)
-	}
-	times, err := s.evalBatch(p, ladder[:end], target)
-	if err != nil {
-		return 0, false, err
-	}
-	return s.ladderSearch(p, target, ladder, times)
+	return ladderSearch(s.swsmWave(p, target), target, ladderWindows(clampHint(p.Window)), nil)
 }
 
 // kSectionWidth is the interior-probe count of each refinement wave.
@@ -311,10 +207,11 @@ func ladderWindows(hint int) []int {
 const ladderStage = 4
 
 // ladderSearch continues a partially evaluated ladder (times covers
-// ladder[:len(times)]) stage by stage until a rung meets the target or
-// the ladder is exhausted, then refines the bracket. The probe path is
-// a pure function of (ladder, target, probe results).
-func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
+// ladder[:len(times)], possibly none of it) stage by stage until a rung
+// meets the target or the ladder is exhausted, then refines the
+// bracket. The probe path is a pure function of (ladder, target, probe
+// results).
+func ladderSearch(eval waveFunc, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
 	found := func() bool {
 		for _, t := range times {
 			if t <= target {
@@ -328,20 +225,20 @@ func (s *Search) ladderSearch(p machine.Params, target int64, ladder []int, time
 		if end > len(ladder) {
 			end = len(ladder)
 		}
-		chunk, err := s.evalBatch(p, ladder[len(times):end], target)
+		chunk, err := eval(ladder[len(times):end])
 		if err != nil {
 			return 0, false, err
 		}
 		times = append(times, chunk...)
 	}
-	return s.refine(p, target, ladder[:len(times)], times)
+	return refine(eval, target, ladder[:len(times)], times)
 }
 
 // refine turns evaluated ladder times into the smallest target-meeting
 // window: bracket from the first ladder rung meeting the target, then
 // k-section waves of kSectionWidth interior points until the bracket
 // closes.
-func (s *Search) refine(p machine.Params, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
+func refine(eval waveFunc, target int64, ladder []int, times []int64) (window int, ok bool, err error) {
 	first := -1
 	for i, t := range times {
 		if t <= target {
@@ -372,7 +269,7 @@ func (s *Search) refine(p machine.Params, target int64, ladder []int, times []in
 		if len(xs) == 0 {
 			xs = append(xs, lo+span/2)
 		}
-		times, err := s.evalBatch(p, xs, target)
+		times, err := eval(xs)
 		if err != nil {
 			return 0, false, err
 		}
@@ -408,17 +305,6 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 	if p.Window <= 0 {
 		return 0, false, fmt.Errorf("metrics: equivalent window ratio needs a finite DM window")
 	}
-	if p.Mem != nil {
-		dm, err := s.Runner.RunWith(s.scratch(), sweep.Point{Kind: machine.DM, P: p})
-		if err != nil {
-			return 0, false, err
-		}
-		w, ok, err := s.EquivalentWindow(p, dm.Cycles)
-		if err != nil {
-			return 0, false, err
-		}
-		return float64(w) / float64(p.Window), ok, nil
-	}
 	// The DM anchor rides in the first wave with the first ladder stage:
 	// the ladder's contents depend only on the hint, not on the target,
 	// so folding the anchor in saves a remote search one full round trip
@@ -441,7 +327,7 @@ func (s *Search) EquivalentWindowRatio(p machine.Params) (ratio float64, ok bool
 	if err != nil {
 		return 0, false, err
 	}
-	w, ok, err := s.ladderSearch(p, times[0], ladder, times[1:])
+	w, ok, err := ladderSearch(s.swsmWave(p, times[0]), times[0], ladder, times[1:])
 	if err != nil {
 		return 0, false, err
 	}

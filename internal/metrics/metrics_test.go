@@ -2,12 +2,14 @@ package metrics
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
 	"daesim/internal/machine"
+	"daesim/internal/memsys"
 	"daesim/internal/partition"
 	"daesim/internal/sweep"
 )
@@ -27,22 +29,31 @@ func TestSpeedupAndLHE(t *testing.T) {
 	}
 }
 
-// fakeMonotone builds a RunFunc from a step function: time = hi below the
-// threshold window, lo at or above it.
-func fakeMonotone(threshold int, hi, lo int64) RunFunc {
-	return func(w int) (int64, error) {
-		if w >= threshold {
-			return lo, nil
+// stepWave is a wave evaluator over a step function: time hi below the
+// threshold window, lo at or above it. It evaluates every window of a
+// wave, as a batched remote wave does.
+func stepWave(threshold int, hi, lo int64) waveFunc {
+	return func(ws []int) ([]int64, error) {
+		times := make([]int64, len(ws))
+		for i, w := range ws {
+			times[i] = hi
+			if w >= threshold {
+				times[i] = lo
+			}
 		}
-		return hi, nil
+		return times, nil
 	}
 }
 
-func TestEquivalentWindowFuncFindsThreshold(t *testing.T) {
+// ladderFromOne runs the wave search's ladder from window 1.
+func ladderFromOne(eval waveFunc, target int64) (int, bool, error) {
+	return ladderSearch(eval, target, ladderWindows(1), nil)
+}
+
+func TestLadderSearchFindsThreshold(t *testing.T) {
 	f := func(th uint16) bool {
 		threshold := int(th%2000) + 1
-		run := fakeMonotone(threshold, 100, 10)
-		w, ok, err := EquivalentWindowFunc(run, 50)
+		w, ok, err := ladderFromOne(stepWave(threshold, 100, 10), 50)
 		return err == nil && ok && w == threshold
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -50,9 +61,9 @@ func TestEquivalentWindowFuncFindsThreshold(t *testing.T) {
 	}
 }
 
-func TestEquivalentWindowFuncSaturates(t *testing.T) {
-	run := func(w int) (int64, error) { return 1000, nil }
-	w, ok, err := EquivalentWindowFunc(run, 50)
+func TestLadderSearchSaturates(t *testing.T) {
+	never := stepWave(MaxEquivalentWindow+1, 1000, 1000)
+	w, ok, err := ladderFromOne(never, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +75,32 @@ func TestEquivalentWindowFuncSaturates(t *testing.T) {
 	}
 }
 
-func TestEquivalentWindowFuncImmediate(t *testing.T) {
+func TestLadderSearchImmediate(t *testing.T) {
 	// Window 1 already meets the target.
-	run := fakeMonotone(1, 99, 10)
-	w, ok, err := EquivalentWindowFunc(run, 50)
+	w, ok, err := ladderFromOne(stepWave(1, 99, 10), 50)
 	if err != nil || !ok || w != 1 {
 		t.Fatalf("got w=%d ok=%v err=%v, want 1 true nil", w, ok, err)
 	}
 }
 
-func TestEquivalentWindowFuncPropagatesErrors(t *testing.T) {
+func TestLadderSearchPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	run := func(w int) (int64, error) { return 0, boom }
-	if _, _, err := EquivalentWindowFunc(run, 10); !errors.Is(err, boom) {
+	fail := func([]int) ([]int64, error) { return nil, boom }
+	if _, _, err := ladderFromOne(fail, 10); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
+	}
+	// An error in a refinement wave, after the ladder has bracketed the
+	// target, propagates too.
+	waves := 0
+	failLater := func(ws []int) ([]int64, error) {
+		if waves++; waves > 1 {
+			return nil, boom
+		}
+		return stepWave(3, 100, 10)(ws) // the first wave, 1..8, brackets 3
+
+	}
+	if _, _, err := ladderFromOne(failLater, 50); !errors.Is(err, boom) {
+		t.Fatalf("refinement error not propagated: %v", err)
 	}
 }
 
@@ -352,6 +375,96 @@ func TestLocalSearchStopsAtFirstDecidingProbe(t *testing.T) {
 		t.Errorf("local search probed %d points, batched %d: local waves should stop at their deciding probe", localProbes, len(batchProbes))
 	}
 	t.Logf("probes: local %d, batched %d", localProbes, len(batchProbes))
+}
+
+// customMems returns one fresh instance of each stateful memory model.
+func customMems(t *testing.T, md int64) map[string]engine.MemModel {
+	t.Helper()
+	ports, err := memsys.NewPorts(md, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outstanding, err := memsys.NewOutstanding(md, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bypass, err := memsys.NewBypass(md, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]engine.MemModel{"ports": ports, "outstanding": outstanding, "bypass": bypass}
+}
+
+// TestCustomMemSearchMatchesExactCrossing: custom-Mem points run the
+// same wave search as the figures, and it lands on the first crossing —
+// the smallest window whose time meets the DM's — which an exhaustive
+// SWSM profile gives exactly.
+func TestCustomMemSearchMatchesExactCrossing(t *testing.T) {
+	s := smallSuite(t)
+	for name, mem := range customMems(t, 40) { //daelint:nondeterministic-ok each model is checked on its own; order reaches no value
+		search := NewSearch(sweep.NewRunner(s))
+		for _, w := range []int{4, 12, 20} {
+			p := machine.Params{Window: w, MD: 40, Mem: mem}
+			ratio, ok, err := search.EquivalentWindowRatio(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("%s w=%d: search saturated on a tiny kernel", name, w)
+			}
+			got := int(math.Round(ratio * float64(w)))
+			dm, err := s.RunDM(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := 0
+			for x := 1; first == 0; x++ {
+				q := p
+				q.Window = x
+				res, err := s.RunSWSM(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cycles <= dm.Cycles {
+					first = x
+				}
+			}
+			if got != first {
+				t.Errorf("%s w=%d: search answered %d, first crossing is %d", name, w, got, first)
+			}
+		}
+	}
+}
+
+// TestCustomMemSearchStaysLocal: custom-Mem probes cannot travel, so on
+// a runner with a RemoteBatch hook their waves still run in order on
+// the search's scratch. The hook is never called, and the search runs
+// exactly the simulations it runs without the hook, not whole waves.
+func TestCustomMemSearchStaysLocal(t *testing.T) {
+	s := smallSuite(t)
+	for name, mem := range customMems(t, 40) { //daelint:nondeterministic-ok each model is checked on its own; order reaches no value
+		p := machine.Params{Window: 12, MD: 40, Mem: mem}
+		plain := sweep.NewRunner(s)
+		want, wantOK, err := NewSearch(plain).EquivalentWindowRatio(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hooked := sweep.NewRunner(s)
+		hooked.RemoteBatch = func(pts []sweep.Point) ([]*engine.Result, error) {
+			t.Errorf("%s: custom-Mem probes reached the remote hook", name)
+			return nil, errors.New("unreachable")
+		}
+		got, gotOK, err := NewSearch(hooked).EquivalentWindowRatio(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || gotOK != wantOK {
+			t.Errorf("%s: hooked search (%v, %v) differs from local (%v, %v)", name, got, gotOK, want, wantOK)
+		}
+		if h, l := hooked.Stats().Uncacheable, plain.Stats().Uncacheable; h > l {
+			t.Errorf("%s: hooked search ran %d uncacheable sims, local %d", name, h, l)
+		}
+	}
 }
 
 // TestEquivalentWindowHintInvariance: the bracket hint (p.Window) must

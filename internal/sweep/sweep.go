@@ -116,16 +116,18 @@ type Runner struct {
 	// the local layers — typically a daemon fleet client
 	// (internal/daemon.FleetClient.RunBatch bound to a workload), so a
 	// sweep runs against long-lived sweepd replicas' shared caches
-	// instead of simulating locally. It is the only remote hook: a
-	// RunBatch sends all of its misses in one call, so a probe wave or
-	// figure sweep costs one round trip per replica, and a RunWith miss
-	// sends its one point. Remote results are installed into the local
-	// Store (when attached) like any fill. A remote error fails the
-	// call: a misconfigured or unreachable daemon should surface, not
-	// silently degrade to local simulation (the one explicit exception
-	// is Degrade + ErrUnavailable). Uncacheable points (custom
-	// Params.Mem) never route remotely — a MemModel is arbitrary local
-	// code. Set it before the first Run.
+	// instead of simulating locally. It is the only remote hook, and
+	// every call reaches it the same way: the misses of one RunBatch
+	// travel in one call, so a probe wave or figure sweep costs one
+	// round trip per replica, and a RunWith — a one-point batch — sends
+	// its one point. Remote results are installed into the local Store
+	// (when attached) like any fill. A remote error fails the call: a
+	// misconfigured or unreachable daemon should surface, not silently
+	// degrade to local simulation (the one explicit exception is
+	// Degrade + ErrUnavailable). Uncacheable points (custom Params.Mem)
+	// never route remotely — a MemModel is arbitrary local code — so
+	// metrics.Search runs their probe waves in order locally even with
+	// the hook set. Set it before the first Run.
 	RemoteBatch func([]Point) ([]*engine.Result, error)
 	// Degrade is the last rung of the failure ladder: when set, a
 	// RemoteBatch failure that wraps ErrUnavailable (every owner of a
@@ -173,146 +175,261 @@ func (r *Runner) storeKey(pt Point) (string, bool) {
 }
 
 // RunWith executes one point on sim's reusable scratch (nil draws from
-// the engine's shared pool), consulting the in-memory cache and then the
-// persistent Store. Returned Results are private copies: the canonical
-// cached Result never escapes, so callers may mutate what they get back.
-//
-//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
+// the engine's shared pool): it is a one-point RunBatch whose miss,
+// store read or uncacheable run happens inline on sim, so a caller
+// stepping through points one at a time keeps its warm scratch.
+// Returned Results are private copies: the canonical cached Result
+// never escapes, so callers may mutate what they get back.
 func (r *Runner) RunWith(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	if pt.P.Mem != nil {
-		r.uncacheable.Add(1)
-		return r.Suite.RunWith(sim, pt.Kind, pt.P)
-	}
-	// The key canonicalizes the retirement policy (RetireAuto resolves
-	// to a concrete policy, exactly as the engine and the store key see
-	// it), so an explicit-policy point and its equivalent auto-policy
-	// point share one entry instead of simulating twice.
-	kp := pt.P
-	kp.Retire = machine.ResolveRetire(kp.Retire)
-	k := key{kind: pt.Kind, p: kp}
-	r.mu.Lock()
-	if e, ok := r.cache[k]; ok {
-		r.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, e.err
-		}
-		r.l1Hits.Add(1)
-		return e.res.Clone(), nil
-	}
-	e := &entry{ready: make(chan struct{})}
-	r.cache[k] = e
-	r.mu.Unlock()
-
-	e.res, e.err = r.fill(sim, pt)
-	if e.err != nil {
-		// Drop the errored entry so later callers retry rather than
-		// replaying a possibly transient failure forever.
-		r.mu.Lock()
-		delete(r.cache, k)
-		r.mu.Unlock()
-		close(e.ready)
-		return nil, e.err
-	}
-	close(e.ready)
-	return e.res.Clone(), nil
-}
-
-// fill produces the canonical result for a cacheable point: from the
-// persistent store when possible, else through fillMisses.
-func (r *Runner) fill(sim *engine.Sim, pt Point) (*engine.Result, error) {
-	if r.Store != nil {
-		if sk, ok := r.storeKey(pt); ok {
-			if res, hit := r.Store.Get(sk); hit {
-				r.storeHits.Add(1)
-				return res, nil
-			}
-		}
-	}
-	res, err := r.fillMisses(sim, []Point{pt}, []int{0})
-	if err != nil {
+	// Array-backed slices: run lets neither escape, so a one-point call
+	// allocates nothing beyond its entry and its result copy.
+	pts := [1]Point{pt}
+	var out [1]*engine.Result
+	if err := r.run(sim, pts[:], out[:]); err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return out[0], nil
 }
 
-// fillMisses produces the canonical results for the points pts[i], i in
-// miss, which are known to miss both local layers, and installs them
-// into the Store; out[j] answers pts[miss[j]]. It is the one place the
-// remote hook is called: with RemoteBatch set, every miss travels in
-// one call, and under Degrade an ErrUnavailable reply's unserved (nil)
-// slots — possibly all of them — are simulated here instead. Without
-// the hook every miss simulates here. A single local miss runs on sim
-// (nil draws from the engine's pool), so RunWith's callers keep their
-// warm scratch; more fan out across the worker pool. Error indices are
-// pts-relative, matching the caller's point list.
-func (r *Runner) fillMisses(sim *engine.Sim, pts []Point, miss []int) ([]*engine.Result, error) {
-	out := make([]*engine.Result, len(miss))
+// RunBatch executes a set of points as one unit, preserving order: L1
+// and Store hits are peeled off locally, and the remaining misses go
+// to RemoteBatch in a single call when it is set, else simulate locally
+// in parallel. This is the request-collapsing path of remote sweeps — a
+// probe wave whose points are all warm issues no remote traffic at all.
+// The first error aborts the batch.
+func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(pts))
+	if err := r.run(nil, pts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run is the one way a point enters the L1, and it keeps the
+// single-flight contract: every cacheable point is claimed under the
+// lock before anything fills it, so concurrent overlapping calls never
+// duplicate a simulation or a remote point; a point another caller
+// claimed is waited on. The retirement policy is canonicalized in the
+// key (RetireAuto resolves to a concrete policy, exactly as the engine
+// and the store key see it), so an explicit-policy point and its
+// equivalent auto-policy point share one entry. Owned claims fill from
+// the Store, then through fillMisses; failed claims are dropped, so
+// later callers retry rather than replaying a possibly transient
+// failure forever. Uncacheable points (custom Params.Mem) bypass both
+// layers. Single-point work — one store read, one local miss, the
+// uncacheable runs — runs inline on sim; out[i] answers pts[i].
+//
+//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
+func (r *Runner) run(sim *engine.Sim, pts []Point, out []*engine.Result) error {
+	var ownedBuf, waitBuf [1]claim
+	var uncachedBuf [1]int
+	owned, waiters, uncached := ownedBuf[:0], waitBuf[:0], uncachedBuf[:0]
+	r.mu.Lock()
+	for i, pt := range pts {
+		if pt.P.Mem != nil {
+			uncached = append(uncached, i)
+			continue
+		}
+		kp := pt.P
+		kp.Retire = machine.ResolveRetire(kp.Retire)
+		k := key{kind: pt.Kind, p: kp}
+		if e, ok := r.cache[k]; ok {
+			waiters = append(waiters, claim{i, e, k})
+			continue
+		}
+		e := &entry{ready: make(chan struct{})}
+		r.cache[k] = e
+		owned = append(owned, claim{i, e, k})
+	}
+	r.mu.Unlock()
+
+	misses := owned
+	if r.Store != nil && len(owned) > 0 {
+		misses = r.peelStore(pts, owned, out)
+	}
+	if len(misses) > 0 {
+		if err := r.fillMisses(sim, pts, misses, out); err != nil {
+			// Drop the claims so later callers retry, and settle their
+			// waiters with the error.
+			r.mu.Lock()
+			for _, c := range misses {
+				delete(r.cache, c.k)
+			}
+			r.mu.Unlock()
+			for _, c := range misses {
+				c.e.err = err
+				close(c.e.ready)
+			}
+			return err
+		}
+		for _, c := range misses {
+			c.settle(out)
+		}
+	}
+
+	for _, i := range uncached {
+		r.uncacheable.Add(1)
+		res, err := r.Suite.RunWith(sim, pts[i].Kind, pts[i].P)
+		if err != nil {
+			return fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+		out[i] = res
+	}
+
+	// Entries owned elsewhere: every claim of ours is settled by now, so
+	// waiting last cannot deadlock on our own call's duplicates.
+	for _, c := range waiters {
+		<-c.e.ready
+		if c.e.err != nil {
+			return fmt.Errorf("sweep: point %d: %w", c.idx, c.e.err)
+		}
+		r.l1Hits.Add(1)
+		out[c.idx] = c.e.res.Clone()
+	}
+	return nil
+}
+
+// peelStore reads the owned claims from the Store, settles the hits,
+// and returns the claims that missed (reusing owned's backing array).
+// Several reads fan across the worker pool: a warm-store batch is
+// exactly the case batching exists to make fast, so it must not
+// serialize that I/O (disk, decode, checksum).
+func (r *Runner) peelStore(pts []Point, owned []claim, out []*engine.Result) []claim {
+	if len(owned) == 1 {
+		out[owned[0].idx] = r.storeGet(pts[owned[0].idx])
+	} else {
+		// The workers read copies, so pts and out never escape to them.
+		peel := make([]Point, len(owned))
+		for j, c := range owned {
+			peel[j] = pts[c.idx]
+		}
+		hits := make([]*engine.Result, len(owned))
+		r.forEach(len(owned), func(_ *engine.Sim, j int) { hits[j] = r.storeGet(peel[j]) })
+		for j, c := range owned {
+			out[c.idx] = hits[j]
+		}
+	}
+	misses := owned[:0]
+	for _, c := range owned {
+		if out[c.idx] == nil {
+			misses = append(misses, c)
+			continue
+		}
+		r.storeHits.Add(1)
+		c.settle(out)
+	}
+	return misses
+}
+
+// storeGet returns the Store's result for a point, or nil on a miss.
+func (r *Runner) storeGet(pt Point) *engine.Result {
+	if sk, ok := r.storeKey(pt); ok {
+		if res, hit := r.Store.Get(sk); hit {
+			return res
+		}
+	}
+	return nil
+}
+
+// fillMisses writes into out[c.idx] the canonical result of each claim
+// in misses, which are known to miss both local layers, and installs
+// each into the Store. It is the one place the remote hook is called:
+// with RemoteBatch set, every miss travels in one call, and under
+// Degrade an ErrUnavailable reply's unserved (nil) slots — possibly all
+// of them — are simulated here instead. Without the hook every miss
+// simulates here: one on sim, more across the worker pool. Error
+// indices are pts-relative, matching the caller's point list.
+func (r *Runner) fillMisses(sim *engine.Sim, pts []Point, misses []claim, out []*engine.Result) error {
 	remote := r.RemoteBatch != nil
 	if remote {
-		mpts := make([]Point, len(miss))
-		for j, i := range miss {
-			mpts[j] = pts[i]
+		mpts := make([]Point, len(misses))
+		for j, c := range misses {
+			mpts[j] = pts[c.idx]
 		}
 		got, err := r.RemoteBatch(mpts)
 		switch {
 		case err != nil && (!r.Degrade || !errors.Is(err, ErrUnavailable)):
-			return nil, err
+			return err
 		case err != nil:
 			// Partial-batch degradation: accept what the surviving
 			// owners served and simulate the rest below, so one dead
 			// replica (or a whole dead fleet) degrades the call
 			// instead of failing it.
-			if len(got) == len(mpts) {
-				copy(out, got)
+			if len(got) != len(mpts) {
+				got = nil
 			}
 		case len(got) != len(mpts):
-			return nil, fmt.Errorf("sweep: remote batch returned %d results for %d points", len(got), len(mpts))
+			return fmt.Errorf("sweep: remote batch returned %d results for %d points", len(got), len(mpts))
 		default:
 			for j, res := range got {
 				if res == nil {
 					// Never settle a nil into the L1 or persist it.
-					return nil, fmt.Errorf("sweep: remote batch returned a nil result for point %d", miss[j])
+					return fmt.Errorf("sweep: remote batch returned a nil result for point %d", misses[j].idx)
 				}
 			}
-			copy(out, got)
+		}
+		for j, res := range got {
+			if res != nil {
+				r.remoteHits.Add(1)
+				r.install(mpts[j], res)
+				out[misses[j].idx] = res
+			}
 		}
 	}
-	var local []int
-	for j, res := range out {
-		if res != nil {
-			r.remoteHits.Add(1)
-			r.install(pts[miss[j]], res)
-		} else {
-			local = append(local, j)
+	var localBuf [1]int
+	local := localBuf[:0]
+	for _, c := range misses {
+		if out[c.idx] == nil {
+			local = append(local, c.idx)
 		}
 	}
+	switch len(local) {
+	case 0:
+		return nil
+	case 1:
+		res, err := r.simulate(sim, pts[local[0]], remote)
+		if err != nil {
+			return fmt.Errorf("sweep: point %d: %w", local[0], err)
+		}
+		out[local[0]] = res
+		return nil
+	}
+	// The workers fill fresh slices, so pts and out never escape to them.
+	lpts := make([]Point, len(local))
+	for t, i := range local {
+		lpts[t] = pts[i]
+	}
+	results := make([]*engine.Result, len(local))
 	errs := make([]error, len(local))
-	simulate := func(sim *engine.Sim, t int) {
-		j := local[t]
-		pt := pts[miss[j]]
-		out[j], errs[t] = r.Suite.RunWith(sim, pt.Kind, pt.P)
-		if errs[t] != nil {
-			return
-		}
-		if remote {
-			r.degraded.Add(1)
-		} else {
-			r.sims.Add(1)
-		}
-		r.install(pt, out[j])
-	}
-	if len(local) == 1 {
-		simulate(sim, 0)
-	} else {
-		r.forEach(len(local), simulate)
-	}
+	r.forEach(len(local), func(sim *engine.Sim, t int) {
+		results[t], errs[t] = r.simulate(sim, lpts[t], remote)
+	})
 	for t, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", miss[local[t]], err)
+			return fmt.Errorf("sweep: point %d: %w", local[t], err)
 		}
 	}
-	return out, nil
+	for t, i := range local {
+		out[i] = results[t]
+	}
+	return nil
+}
+
+// simulate runs one cacheable point locally, counts it — as Degraded
+// when a remote hook is attached, since it only simulates what the hook
+// could not serve — and installs it into the Store.
+func (r *Runner) simulate(sim *engine.Sim, pt Point, degraded bool) (*engine.Result, error) {
+	res, err := r.Suite.RunWith(sim, pt.Kind, pt.P)
+	if err != nil {
+		return nil, err
+	}
+	if degraded {
+		r.degraded.Add(1)
+	} else {
+		r.sims.Add(1)
+	}
+	r.install(pt, res)
+	return res, nil
 }
 
 // install writes a freshly filled result to the Store, when attached.
@@ -340,7 +457,7 @@ func (r *Runner) Stats() CacheStats {
 // min(Parallelism, n) worker goroutines, each owning one scratch
 // context; with a single worker it runs inline. fn communicates
 // through its captures (result and error slices indexed by i). This is
-// the one worker-pool shape RunBatch's store peel and fillMisses share.
+// the one worker-pool shape peelStore and fillMisses share.
 //
 //daelint:ctx-root workers drain a closed channel of at most n indices; there is no caller to cancel for
 func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
@@ -379,128 +496,21 @@ func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
 	wg.Wait()
 }
 
-// RunBatch executes a set of points as one unit, preserving order: L1
-// and Store hits are peeled off locally, and the remaining misses go
-// through fillMisses — to RemoteBatch in a single call when it is set,
-// else simulated locally in parallel. This is the request-collapsing
-// path of remote sweeps — a probe wave whose points are all warm issues
-// no remote traffic at all — and it keeps the single-flight contract:
-// misses are claimed before filling, so concurrent overlapping batches
-// (and RunWith calls) never duplicate a simulation or a remote point.
-// The first error aborts the batch; failed claims are dropped so later
-// callers retry.
-//
-//daelint:ctx-root cancellation rides the RemoteBatch hook's captured context; local simulation is not cancellable mid-run
-func (r *Runner) RunBatch(pts []Point) ([]*engine.Result, error) {
-	out := make([]*engine.Result, len(pts))
-	var owned, waiters []claim
-	var uncached []int
-	r.mu.Lock()
-	for i, pt := range pts {
-		if pt.P.Mem != nil {
-			uncached = append(uncached, i)
-			continue
-		}
-		kp := pt.P
-		kp.Retire = machine.ResolveRetire(kp.Retire)
-		k := key{kind: pt.Kind, p: kp}
-		if e, ok := r.cache[k]; ok {
-			waiters = append(waiters, claim{i, e, k})
-			continue
-		}
-		e := &entry{ready: make(chan struct{})}
-		r.cache[k] = e
-		owned = append(owned, claim{i, e, k})
-	}
-	r.mu.Unlock()
-
-	// Fill owned claims: store first, then the misses. The store peel
-	// fans its blob reads (disk + decode + checksum) across the worker
-	// pool: a warm-store batch is exactly the case batching exists to
-	// make fast, so it must not serialize that I/O.
-	var misses []claim
-	if r.Store == nil {
-		misses = owned
-	} else {
-		hits := make([]*engine.Result, len(owned))
-		r.forEach(len(owned), func(_ *engine.Sim, j int) {
-			if sk, ok := r.storeKey(pts[owned[j].idx]); ok {
-				if res, hit := r.Store.Get(sk); hit {
-					hits[j] = res
-				}
-			}
-		})
-		for j, c := range owned {
-			if res := hits[j]; res != nil {
-				r.storeHits.Add(1)
-				c.e.res = res
-				close(c.e.ready)
-				out[c.idx] = res.Clone()
-				continue
-			}
-			misses = append(misses, c)
-		}
-	}
-	if len(misses) > 0 {
-		idx := make([]int, len(misses))
-		for j, c := range misses {
-			idx[j] = c.idx
-		}
-		results, err := r.fillMisses(nil, pts, idx)
-		if err != nil {
-			// Drop the claims so later callers retry, and settle their
-			// waiters with the error.
-			r.mu.Lock()
-			for _, c := range misses {
-				delete(r.cache, c.k)
-			}
-			r.mu.Unlock()
-			for _, c := range misses {
-				c.e.err = err
-				close(c.e.ready)
-			}
-			return nil, err
-		}
-		for j, c := range misses {
-			c.e.res = results[j]
-			close(c.e.ready)
-			out[c.idx] = results[j].Clone()
-		}
-	}
-
-	// Uncacheable points bypass both layers, like RunWith.
-	if len(uncached) > 0 {
-		sim := engine.NewSim()
-		for _, i := range uncached {
-			r.uncacheable.Add(1)
-			res, err := r.Suite.RunWith(sim, pts[i].Kind, pts[i].P)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			out[i] = res
-		}
-	}
-
-	// Entries owned elsewhere: every claim of ours is settled by now, so
-	// waiting last cannot deadlock on our own batch's duplicates.
-	for _, c := range waiters {
-		<-c.e.ready
-		if c.e.err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", c.idx, c.e.err)
-		}
-		r.l1Hits.Add(1)
-		out[c.idx] = c.e.res.Clone()
-	}
-	return out, nil
-}
-
-// claim is one cacheable point's L1 slot within a RunBatch: either
-// owned by that call (it fills and settles the entry) or by another
-// in-flight caller (the batch waits on it).
+// claim is one cacheable point's L1 slot within a run: either owned by
+// that call (it fills and settles the entry) or by another in-flight
+// caller (the call waits on it).
 type claim struct {
 	idx int
 	e   *entry
 	k   key
+}
+
+// settle publishes the canonical result out[c.idx] to the claim's
+// waiters and hands the caller a private copy in its place.
+func (c claim) settle(out []*engine.Result) {
+	c.e.res = out[c.idx]
+	close(c.e.ready)
+	out[c.idx] = c.e.res.Clone()
 }
 
 // Series is a named sequence of (x, y) samples, one curve of a figure.

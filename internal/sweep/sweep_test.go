@@ -581,3 +581,34 @@ func TestRemoteBatchPartialDegrade(t *testing.T) {
 		t.Fatalf("without Degrade a partial batch must fail: %v", err)
 	}
 }
+
+// TestRunWithAllocs pins RunWith's allocation profile on a local
+// runner: an L1 hit allocates only the private copy of its Result (4),
+// and a cold miss adds its entry and the simulation's own allocations
+// (13). A one-point call must not pay for the batch machinery it shares
+// with RunBatch: claim lists, the worker pool, scratch contexts.
+func TestRunWithAllocs(t *testing.T) {
+	r := testRunner(t)
+	sim := engine.NewSim()
+	pt := Point{Kind: machine.DM, P: machine.Params{Window: 8, MD: 30}}
+	if _, err := r.RunWith(sim, pt); err != nil {
+		t.Fatal(err)
+	}
+	hit := testing.AllocsPerRun(100, func() {
+		if _, err := r.RunWith(sim, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	miss := testing.AllocsPerRun(100, func() {
+		// clear keeps the map's buckets, so the count is RunWith's own.
+		r.mu.Lock()
+		clear(r.cache)
+		r.mu.Unlock()
+		if _, err := r.RunWith(sim, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit > 4 || miss > 13 {
+		t.Errorf("RunWith allocates %v on an L1 hit and %v on a cold miss, want at most 4 and 13", hit, miss)
+	}
+}
