@@ -12,7 +12,7 @@
 //
 // Endpoints: POST /v1/batch/run (simulation points, each with its own
 // target, in one round trip) and POST /v1/batch/search
-// (equivalent-window, ratio and crossover searches) — every simulation
+// (equivalent-window ratio searches of Figures 7-9) — every simulation
 // is a batch, one request per replica round trip for fleet clients —
 // plus GET /v1/cache/stats, POST /v1/cache/gc,
 // GET /healthz, and GET /metrics (Prometheus text exposition of the

@@ -10,10 +10,18 @@
 // full schemas):
 //
 //	POST /v1/batch/run    run requests (own targets) in one round trip
-//	POST /v1/batch/search equivalent-window / ratio / crossover searches, fanned across the pool
+//	POST /v1/batch/search equivalent-window ratio searches, run through metrics.Ratios
 //	GET  /v1/cache/stats  runner + store cache counters
 //	POST /v1/cache/gc     trim the persistent store to given bounds
 //	GET  /healthz         liveness (never throttled by the request limit)
+//
+// A search item is {target, params} and its answer {ratio, ok}: the
+// daemon runs the same metrics.Ratios fan-out that renders Figures 7-9
+// locally, so a remote figure equals a local one by construction. Both
+// batch endpoints validate every item before anything simulates, and
+// refuse with 400 what the model would reject — a ratio search with a
+// DM window below 1, or params the simulator's config validation
+// refuses — so a bad request is never retried as a replica failure.
 //
 // Fleet mode shards keys across several daemons with the consistent-hash
 // Ring and FleetClient (DESIGN.md §11).
@@ -180,42 +188,23 @@ type RunRequest struct {
 	Point
 }
 
-// Search operations for SearchRequest.Op.
-const (
-	// SearchWindow finds the smallest SWSM window meeting Target cycles
-	// (metrics.Search.EquivalentWindow).
-	SearchWindow = "window"
-	// SearchRatio runs the DM at the given params and reports the
-	// equivalent-window ratio of Figures 7-9.
-	SearchRatio = "ratio"
-	// SearchCrossover scans Windows for the first SWSM-wins window.
-	SearchCrossover = "crossover"
-)
-
-// SearchRequest is one /v1/batch/search item: an equivalent-window
-// search against one suite, probed through the daemon's shared cache.
+// SearchRequest is one /v1/batch/search item: the equivalent-window
+// ratio search of Figures 7-9 (metrics.Search.EquivalentWindowRatio)
+// against one suite, probed through the daemon's shared cache.
 type SearchRequest struct {
 	Target
-	// Op selects the search: SearchWindow, SearchRatio or SearchCrossover.
-	Op string `json:"op"`
-	// Params configures the probes; Params.Window is the DM window for
-	// ratio searches and the bracket hint for window searches.
+	// Params configures the search. Params.Window is the DM window and
+	// must be at least 1; params the simulator would refuse on either
+	// machine are refused with 400 before anything simulates.
 	Params Params `json:"params"`
-	// TargetCycles is the time to match (SearchWindow only).
-	TargetCycles int64 `json:"target_cycles,omitempty"`
-	// Windows is the scan grid (SearchCrossover only): strictly
-	// ascending windows of at least 1, at most MaxBatchItems of them.
-	// Any other grid is refused with 400.
-	Windows []int `json:"windows,omitempty"`
 }
 
-// SearchResponse answers one SearchRequest. OK is false when the
-// search saturated (no window within metrics.MaxEquivalentWindow, or no
-// crossover in the grid).
+// SearchResponse answers one SearchRequest: the equivalent SWSM window
+// over the DM window. OK is false when the search saturated (no window
+// within metrics.MaxEquivalentWindow matches the DM).
 type SearchResponse struct {
-	Window int     `json:"window,omitempty"`
-	Ratio  float64 `json:"ratio,omitempty"`
-	OK     bool    `json:"ok"`
+	Ratio float64 `json:"ratio,omitempty"`
+	OK    bool    `json:"ok"`
 }
 
 // MaxBatchItems caps the item count of /v1/batch/run and
@@ -243,8 +232,8 @@ type BatchRunResponse struct {
 }
 
 // BatchSearchRequest is the POST /v1/batch/search body: up to
-// MaxBatchItems searches executed server-side, fanned across the
-// daemon's pool, answered in one round trip.
+// MaxBatchItems ratio searches executed server-side through
+// metrics.Ratios, answered in one round trip.
 type BatchSearchRequest struct {
 	Items []SearchRequest `json:"items"`
 }

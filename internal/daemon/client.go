@@ -148,30 +148,55 @@ func (c *Client) target(workload string, scale int, fingerprint string) Target {
 }
 
 // BatchRun executes run requests — each carrying its own target — in
-// MaxBatchItems-sized round trips (one for any realistically sized
+// MaxBatchItems-sized round trips (see postBatch). Results[i] answers
+// items[i].
+func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Result, error) {
+	return postBatch(ctx, c, "/v1/batch/run", items, func(_ int, r *engine.Result) error {
+		if r == nil {
+			// A null element would otherwise settle into the caller's L1
+			// and store as a poisoned entry and crash the first reader.
+			return fmt.Errorf("null result: %w", ErrMalformedReply)
+		}
+		return nil
+	})
+}
+
+// BatchSearch executes ratio searches server-side in MaxBatchItems-sized
+// round trips (see postBatch); Results[i] answers items[i]. Each item's
+// Target must be set by the caller. Every answer the daemon marks OK is
+// checked against its request (checkSearchReply) before it can reach a
+// figure.
+func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
+	return postBatch(ctx, c, "/v1/batch/search", items, func(i int, r SearchResponse) error {
+		return checkSearchReply(items[i], r)
+	})
+}
+
+// postBatch posts items to a batch endpoint as {items} bodies of at
+// most MaxBatchItems each — one round trip for any realistically sized
 // batch; the server 400s oversized requests with a non-retryable
 // refusal, so the split must happen here, where sweeps of any size
-// funnel through). Results[i] answers items[i].
-func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Result, error) {
-	out := make([]*engine.Result, 0, len(items))
+// funnel through — and returns the {results} in order. A reply of the
+// wrong length, or with an element check(i, result) refuses, wraps
+// ErrMalformedReply.
+func postBatch[Item, Result any](ctx context.Context, c *Client, path string, items []Item, check func(i int, r Result) error) ([]Result, error) {
+	out := make([]Result, 0, len(items))
 	for start := 0; start < len(items); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(items) {
-			end = len(items)
+		chunk := items[start:min(start+MaxBatchItems, len(items))]
+		var resp struct {
+			Results []Result `json:"results"`
 		}
-		chunk := items[start:end]
-		var resp BatchRunResponse
-		if err := c.post(ctx, "/v1/batch/run", BatchRunRequest{Items: chunk}, &resp); err != nil {
+		if err := c.post(ctx, path, struct {
+			Items []Item `json:"items"`
+		}{chunk}, &resp); err != nil {
 			return nil, err
 		}
 		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("daemon client: /v1/batch/run returned %d results for %d items: %w", len(resp.Results), len(chunk), ErrMalformedReply)
+			return nil, fmt.Errorf("daemon client: %s returned %d results for %d items: %w", path, len(resp.Results), len(chunk), ErrMalformedReply)
 		}
 		for i, r := range resp.Results {
-			if r == nil {
-				// A null element would otherwise settle into the caller's L1
-				// and store as a poisoned entry and crash the first reader.
-				return nil, fmt.Errorf("daemon client: /v1/batch/run returned a null result for item %d: %w", start+i, ErrMalformedReply)
+			if err := check(start+i, r); err != nil {
+				return nil, fmt.Errorf("daemon client: %s item %d: %w", path, start+i, err)
 			}
 		}
 		out = append(out, resp.Results...)
@@ -179,62 +204,19 @@ func (c *Client) BatchRun(ctx context.Context, items []RunRequest) ([]*engine.Re
 	return out, nil
 }
 
-// BatchSearch executes searches server-side in MaxBatchItems-sized
-// round trips; Results[i] answers items[i]. Each item's Target must be
-// set by the caller. Every answer the daemon marks OK is checked
-// against its request (checkSearchReply) before it can reach a figure.
-func (c *Client) BatchSearch(ctx context.Context, items []SearchRequest) ([]SearchResponse, error) {
-	out := make([]SearchResponse, 0, len(items))
-	for start := 0; start < len(items); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(items) {
-			end = len(items)
-		}
-		chunk := items[start:end]
-		var resp BatchSearchResponse
-		if err := c.post(ctx, "/v1/batch/search", BatchSearchRequest{Items: chunk}, &resp); err != nil {
-			return nil, err
-		}
-		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("daemon client: /v1/batch/search returned %d results for %d items: %w", len(resp.Results), len(chunk), ErrMalformedReply)
-		}
-		for i, r := range resp.Results {
-			if err := checkSearchReply(chunk[i], r); err != nil {
-				return nil, fmt.Errorf("daemon client: /v1/batch/search item %d: %w", start+i, err)
-			}
-		}
-		out = append(out, resp.Results...)
-	}
-	return out, nil
-}
-
-// checkSearchReply rejects an OK search answer that no search could
-// have produced for req: a window outside [1, metrics.MaxEquivalentWindow],
-// a ratio that is not such a window over the request's DM window, or
-// a crossover outside the request's grid, wrapping ErrMalformedReply.
-// Saturated (!OK) answers carry no figure value and pass.
+// checkSearchReply rejects an OK ratio that no search could have
+// produced for req — one that is not a window in
+// [1, metrics.MaxEquivalentWindow] over the request's DM window —
+// wrapping ErrMalformedReply. Saturated (!OK) answers carry no figure
+// value and pass.
 func checkSearchReply(req SearchRequest, resp SearchResponse) error {
 	if !resp.OK {
 		return nil
 	}
-	switch req.Op {
-	case SearchWindow:
-		if resp.Window < 1 || resp.Window > metrics.MaxEquivalentWindow {
-			return fmt.Errorf("window %d outside [1, %d]: %w", resp.Window, metrics.MaxEquivalentWindow, ErrMalformedReply)
-		}
-	case SearchRatio:
-		dm := req.Params.Window
-		w := math.Round(resp.Ratio * float64(dm))
-		if dm <= 0 || w < 1 || w > metrics.MaxEquivalentWindow || w/float64(dm) != resp.Ratio {
-			return fmt.Errorf("ratio %v is not a window in [1, %d] over DM window %d: %w", resp.Ratio, metrics.MaxEquivalentWindow, dm, ErrMalformedReply)
-		}
-	case SearchCrossover:
-		for _, w := range req.Windows {
-			if w == resp.Window {
-				return nil
-			}
-		}
-		return fmt.Errorf("crossover window %d is not in the request's grid: %w", resp.Window, ErrMalformedReply)
+	dm := req.Params.Window
+	w := math.Round(resp.Ratio * float64(dm))
+	if dm <= 0 || w < 1 || w > metrics.MaxEquivalentWindow || w/float64(dm) != resp.Ratio {
+		return fmt.Errorf("ratio %v is not a window in [1, %d] over DM window %d: %w", resp.Ratio, metrics.MaxEquivalentWindow, dm, ErrMalformedReply)
 	}
 	return nil
 }
@@ -278,13 +260,19 @@ func (c *Client) Health(ctx context.Context) error {
 // passes — the startup handshake for scripts and tests that just
 // launched a sweepd.
 func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
+	return waitHealthy(ctx, timeout, "daemon client", c.Health)
+}
+
+// waitHealthy polls health every 50ms until it passes, ctx is
+// cancelled (nil means never), or timeout passes.
+func waitHealthy(ctx context.Context, timeout time.Duration, who string, health func(context.Context) error) error {
 	deadline := time.Now().Add(timeout)
-	var err error
 	for {
-		if err = c.Health(ctx); err == nil {
+		err := health(ctx)
+		if err == nil {
 			return nil
 		}
-		// A cancelled caller must stop retrying: Health fails fast on a
+		// A cancelled caller must stop retrying: health fails fast on a
 		// dead context, and without this check the loop would spin on
 		// that error until the deadline.
 		if ctx != nil {
@@ -293,7 +281,7 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon client: not healthy after %s: %w", timeout, err)
+			return fmt.Errorf("%s: not healthy after %s: %w", who, timeout, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

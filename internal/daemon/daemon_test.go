@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -237,36 +238,12 @@ func TestSearchEndpointMatchesLocalSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}})
+	resp, err := searchOne(client, testWorkload, SearchRequest{Params: Params{Window: 16, MD: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK != wantOK || resp.Ratio != wantRatio {
 		t.Fatalf("ratio search: got %+v, want ratio %v ok %v", resp, wantRatio, wantOK)
-	}
-
-	dm, err := runner.Run(sweep.Point{Kind: machine.DM, P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wresp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: dm.Cycles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wresp.OK || float64(wresp.Window)/16 != resp.Ratio {
-		t.Fatalf("window search %+v inconsistent with ratio %v", wresp, resp.Ratio)
-	}
-
-	xresp, err := searchOne(client, testWorkload, SearchRequest{Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantX, wantXOK, err := metrics.NewSearch(runner).Crossover(machine.Params{MD: 0}, []int{4, 8, 16, 32, 64, 96, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xresp.OK != wantXOK || xresp.Window != wantX {
-		t.Fatalf("crossover: got %+v, want %d ok %v", xresp, wantX, wantXOK)
 	}
 }
 
@@ -425,14 +402,22 @@ func TestBadRequests(t *testing.T) {
 			var resp BatchRunResponse
 			return client.post(context.Background(), "/v1/batch/run", BatchRunRequest{}, &resp)
 		}, "no items"},
-		{"bad search op", func() error {
-			_, err := searchOne(client, testWorkload, SearchRequest{Op: "median"})
+		{"run params the simulator refuses", func() error {
+			_, err := client.BatchRun(context.Background(), []RunRequest{{Target: Target{Workload: testWorkload}, Point: Point{Kind: "DM", Params: Params{Window: 8, MemQueue: -5}}}})
 			return err
-		}, "unknown search op"},
-		{"window search without target", func() error {
-			_, err := searchOne(client, testWorkload, SearchRequest{Op: SearchWindow})
+		}, "invalid MemQueue -5"},
+		{"ratio search without a DM window", func() error {
+			_, err := searchOne(client, testWorkload, SearchRequest{Params: Params{MD: 30}})
 			return err
-		}, "target_cycles"},
+		}, "DM window of at least 1"},
+		{"search params the simulator refuses", func() error {
+			_, err := searchOne(client, testWorkload, SearchRequest{Params: Params{Window: 8, MemQueue: -5}})
+			return err
+		}, "invalid MemQueue -5"},
+		{"search op field", func() error {
+			var resp BatchSearchResponse
+			return client.post(context.Background(), "/v1/batch/search", map[string]any{"items": []any{map[string]any{"workload": testWorkload, "op": "window", "params": map[string]any{"window": 8}}}}, &resp)
+		}, "unknown field"},
 		{"unknown field", func() error {
 			var resp BatchRunResponse
 			return client.post(context.Background(), "/v1/batch/run", map[string]any{"items": []any{map[string]any{"workload": testWorkload, "kind": "DM", "paramz": map[string]any{}}}}, &resp)
@@ -440,8 +425,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := tc.call()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a 400 containing %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -490,23 +476,24 @@ func TestBatchRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchSearchEndpoint: a heterogeneous search batch answers each
-// item exactly as that search sent alone would.
+// TestBatchSearchEndpoint: a search batch answers each item exactly as
+// that search sent alone would, and a bad item anywhere fails the
+// whole batch before anything simulates, naming the item.
 func TestBatchSearchEndpoint(t *testing.T) {
 	t.Parallel()
 	_, client := newTestServer(t, Config{})
 	target := Target{Workload: testWorkload, EngineVersion: engine.Version}
 	items := []SearchRequest{
-		{Target: target, Op: SearchRatio, Params: Params{Window: 16, MD: 30}},
-		{Target: target, Op: SearchCrossover, Params: Params{MD: 0}, Windows: []int{4, 8, 16, 32, 64, 96, 128}},
-		{Target: target, Op: SearchRatio, Params: Params{Window: 8, MD: 30}},
+		{Target: target, Params: Params{Window: 16, MD: 30}},
+		{Target: target, Params: Params{Window: 16}},
+		{Target: target, Params: Params{Window: 8, MD: 30}},
 	}
 	batched, err := client.BatchSearch(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, item := range items {
-		single, err := searchOne(client, testWorkload, SearchRequest{Op: item.Op, Params: item.Params, Windows: item.Windows})
+		single, err := searchOne(client, testWorkload, SearchRequest{Params: item.Params})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,46 +501,9 @@ func TestBatchSearchEndpoint(t *testing.T) {
 			t.Errorf("batch item %d: %+v != sent alone %+v", i, batched[i], single)
 		}
 	}
-	if _, err := client.BatchSearch(context.Background(), []SearchRequest{{Target: target, Op: "median"}}); err == nil || !strings.Contains(err.Error(), "unknown search op") {
-		t.Errorf("bad op in a batch: %v", err)
-	}
-}
-
-// TestCrossoverGridRejected: a crossover grid must be strictly
-// ascending, hold windows of at least 1, and be no longer than
-// MaxBatchItems. Anything else is a 400 naming the fault, refused
-// before anything simulates.
-func TestCrossoverGridRejected(t *testing.T) {
-	t.Parallel()
-	handler := NewServer(Config{}).Handler()
-	long := make([]int, MaxBatchItems+1)
-	for i := range long {
-		long[i] = i + 1
-	}
-	for _, tc := range []struct {
-		name    string
-		windows []int
-		want    string
-	}{
-		{"empty", nil, "needs a windows grid"},
-		{"descending", []int{64, 8}, "not strictly ascending at index 1"},
-		{"repeated", []int{8, 16, 16, 32}, "not strictly ascending at index 2"},
-		{"zero", []int{0, 8}, "below 1"},
-		{"negative", []int{-4, 8}, "below 1"},
-		{"oversized", long, fmt.Sprintf("%d-window limit", MaxBatchItems)},
-	} {
-		body, err := json.Marshal(BatchSearchRequest{Items: []SearchRequest{{
-			Target: Target{Workload: testWorkload}, Op: SearchCrossover, Params: Params{MD: 0}, Windows: tc.windows,
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/batch/search", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
-			t.Errorf("%s grid: answered %d %q, want 400 containing %q", tc.name, rec.Code, rec.Body.String(), tc.want)
-		}
+	bad := append(items[:2:2], SearchRequest{Target: target, Params: Params{MD: 30}})
+	if _, err := client.BatchSearch(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "batch item 2") {
+		t.Errorf("a window-0 item should fail the batch naming the index: %v", err)
 	}
 }
 

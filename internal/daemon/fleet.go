@@ -561,23 +561,9 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 		}
 		wire[i] = wp
 	}
-	out := make([]*engine.Result, len(pts))
-	err := f.scatter(ctx, len(pts), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
-		c := f.clients[replica]
-		target := c.target(workload, scale, fingerprint)
-		items := make([]RunRequest, len(idx))
-		for j, i := range idx {
-			items[j] = RunRequest{Target: target, Point: wire[i]}
-		}
-		res, err := c.BatchRun(ctx, items)
-		if err != nil {
-			return err
-		}
-		for j, i := range idx {
-			out[i] = res[j] // idx sets are disjoint across groups
-		}
-		return nil
-	})
+	out, err := scatterBatch(ctx, f, keys, func(c *Client, i int) RunRequest {
+		return RunRequest{Target: c.target(workload, scale, fingerprint), Point: wire[i]}
+	}, (*Client).BatchRun)
 	if err != nil {
 		if errors.Is(err, sweep.ErrUnavailable) {
 			return out, err // partial: settled slots are valid
@@ -587,79 +573,71 @@ func (f *FleetClient) RunBatch(ctx context.Context, workload string, scale int, 
 	return out, nil
 }
 
-// searchKey is the ring key for a server-side search: the canonical
-// encoding of the search itself under the client's engine version, so
-// identical searches from any client of the fleet land on one replica
-// and share its memoized probes.
-func searchKey(workload string, scale int, req SearchRequest) string {
-	req.Target = Target{}
-	b, _ := json.Marshal(req)
-	return engine.Version + "|" + workload + "|" + strconv.Itoa(scale) + "|search|" + string(b)
-}
-
-// BatchSearch executes server-side searches across the fleet: items
-// group by owning replica, one /v1/batch/search round trip per group.
-// Results[i] answers items[i]; each item's Target is pinned to this
-// build's engine version (and the suite fingerprint when known) like
-// RunBatch's points. Unlike RunBatch there is no partial return —
-// a search with unavailable owners fails with sweep.ErrUnavailable and
-// the caller (experiments.RatioFigure with Degrade) falls back to the
-// local search path wholesale.
-func (f *FleetClient) BatchSearch(ctx context.Context, workload string, scale int, fingerprint string, reqs []SearchRequest) ([]SearchResponse, error) {
-	// Work on a copy: stamping targets must not scribble on the
-	// caller's slice.
-	items := append([]SearchRequest(nil), reqs...)
-	keys := make([]string, len(items))
-	for i := range items {
-		items[i].Target = Target{
-			Workload: workload, Scale: scale,
-			EngineVersion: engine.Version, Fingerprint: fingerprint,
-		}
-		keys[i] = searchKey(workload, scale, items[i])
-	}
-	out := make([]SearchResponse, len(items))
-	err := f.scatter(ctx, len(items), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
-		sub := make([]SearchRequest, len(idx))
+// scatterBatch routes len(keys) batch items over the fleet: scatter
+// groups them by owning replica, and each group travels as one send on
+// that replica's client, item i built for it by item(c, i). Replies
+// land at their items' indices, so after an unavailability error the
+// slots the surviving owners served are valid.
+func scatterBatch[Item, Result any](ctx context.Context, f *FleetClient, keys []string, item func(c *Client, i int) Item, send func(*Client, context.Context, []Item) ([]Result, error)) ([]Result, error) {
+	out := make([]Result, len(keys))
+	err := f.scatter(ctx, len(keys), func(i int) string { return keys[i] }, func(ctx context.Context, replica int, idx []int) error {
+		c := f.clients[replica]
+		items := make([]Item, len(idx))
 		for j, i := range idx {
-			sub[j] = items[i]
+			items[j] = item(c, i)
 		}
-		res, err := f.clients[replica].BatchSearch(ctx, sub)
+		res, err := send(c, ctx, items)
 		if err != nil {
 			return err
 		}
 		for j, i := range idx {
-			out[i] = res[j]
+			out[i] = res[j] // idx sets are disjoint across groups
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
+}
+
+// searchKey is the ring key for a server-side ratio search: the
+// canonical encoding of its params under the client's engine version,
+// so identical searches from any client of the fleet land on one
+// replica and share its memoized probes.
+func searchKey(workload string, scale int, p Params) string {
+	b, _ := json.Marshal(p)
+	return engine.Version + "|" + workload + "|" + strconv.Itoa(scale) + "|ratio|" + string(b)
 }
 
 // RatioBatch executes one curve of equivalent-window ratio searches
-// across the fleet, grouped by owning replica, one /v1/batch/search
-// round trip per group — the experiments.Context.RemoteSearch hook,
-// with the scatter loop's failover. Answers are identical to the local
-// search by construction (the probe path is a fixed function of its
-// inputs — metrics.Search), and a reply no search could have produced
-// is refused as ErrMalformedReply and retried on the next owner.
+// across the fleet — the experiments.Context.RemoteSearch hook. Items
+// group by owning replica, one /v1/batch/search round trip per group,
+// with the scatter loop's failover; each item's Target is pinned to
+// this build's engine version, the suite fingerprint and the replica
+// client's policy like RunBatch's points. Answers are identical to the
+// local search by construction (the replica runs the same
+// metrics.Ratios), and a reply no search could have produced is
+// refused as ErrMalformedReply and retried on the next owner. Unlike
+// RunBatch there is no partial return: a search with unavailable
+// owners fails with sweep.ErrUnavailable and the caller
+// (experiments.RatioFigure with Degrade) falls back to the local
+// search path wholesale.
 func (f *FleetClient) RatioBatch(ctx context.Context, workload string, scale int, fingerprint string, params []machine.Params) ([]experiments.RatioAnswer, error) {
-	items := make([]SearchRequest, len(params))
+	wire := make([]Params, len(params))
+	keys := make([]string, len(params))
 	for i, p := range params {
 		wp, err := ToParams(p)
 		if err != nil {
 			return nil, fmt.Errorf("daemon fleet: ratio point %d: %w", i, err)
 		}
-		items[i] = SearchRequest{Op: SearchRatio, Params: wp}
+		wire[i], keys[i] = wp, searchKey(workload, scale, wp)
 	}
-	resp, err := f.BatchSearch(ctx, workload, scale, fingerprint, items)
+	res, err := scatterBatch(ctx, f, keys, func(c *Client, i int) SearchRequest {
+		return SearchRequest{Target: c.target(workload, scale, fingerprint), Params: wire[i]}
+	}, (*Client).BatchSearch)
 	if err != nil {
 		return nil, err
 	}
-	answers := make([]experiments.RatioAnswer, len(resp))
-	for i, r := range resp {
+	answers := make([]experiments.RatioAnswer, len(res))
+	for i, r := range res {
 		answers[i] = experiments.RatioAnswer{Ratio: r.Ratio, OK: r.OK}
 	}
 	return answers, nil
@@ -727,20 +705,7 @@ func sameMembers(a, b []string) bool {
 // (or ctx) expires — the startup handshake for scripts that just
 // launched a fleet.
 func (f *FleetClient) WaitHealthy(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var err error
-	for {
-		if err = f.Health(ctx); err == nil {
-			return nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon fleet: not healthy after %s: %w", timeout, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	return waitHealthy(ctx, timeout, "daemon fleet", f.Health)
 }
 
 // CacheStats fetches every replica's cache counters, index-aligned

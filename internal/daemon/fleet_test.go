@@ -208,7 +208,10 @@ func (d *dyingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestFleetFailoverMidSweep pins the retry path: one replica dies after
 // its first two requests, mid-sweep; every point still completes,
-// byte-identical to local, served by the survivors.
+// byte-identical to local, served by the survivors. Ring ownership
+// follows the random test ports, so the waves are built from it: each
+// of the four waves holds a point the dying replica owns, so its first
+// two waves are served and the third meets the death.
 func TestFleetFailoverMidSweep(t *testing.T) {
 	t.Parallel()
 	var dying *dyingHandler
@@ -221,21 +224,29 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 	})
 	fleet.Cooldown = 50 * time.Millisecond
 
-	var pts []sweep.Point
-	for w := 4; w <= 96; w += 4 {
-		pts = append(pts, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}})
-	}
 	suite := mustSuite(t, testWorkload)
+	const waves, width = 4, 6
+	var doomed, others []sweep.Point // owned by replica 2, and by the survivors
+	for w := 4; len(doomed) < waves || len(others) < waves*(width-1); w += 4 {
+		pt := sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: 30}}
+		key, _ := routeKey(testWorkload, 1, suite.Fingerprint(), pt)
+		if fleet.Ring().Owners(key, 1)[0] == 2 {
+			doomed = append(doomed, pt)
+		} else {
+			others = append(others, pt)
+		}
+	}
+	var pts []sweep.Point
+	for k := 0; k < waves; k++ {
+		pts = append(pts, doomed[k])
+		pts = append(pts, others[k*(width-1):(k+1)*(width-1)]...)
+	}
 	// Several waves so the death lands mid-sweep, not before or after.
 	var remote []*engine.Result
-	for i := 0; i < len(pts); i += 6 {
-		end := i + 6
-		if end > len(pts) {
-			end = len(pts)
-		}
-		res, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), pts[i:end])
+	for i := 0; i < len(pts); i += width {
+		res, err := fleet.RunBatch(context.Background(), testWorkload, 1, suite.Fingerprint(), pts[i:i+width])
 		if err != nil {
-			t.Fatalf("wave %d: fleet sweep did not survive the replica death: %v", i/6, err)
+			t.Fatalf("wave %d: fleet sweep did not survive the replica death: %v", i/width, err)
 		}
 		remote = append(remote, res...)
 	}
@@ -243,7 +254,10 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 		t.Fatalf("the dying replica was never routed to (served %d), failover untested", dying.served.Load())
 	}
 	for i, pt := range pts {
-		local := localResult(t, testWorkload, pt)
+		local, err := suite.Run(pt.Kind, pt.P)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(asJSON(t, remote[i]), asJSON(t, local)) {
 			t.Fatalf("point %d differs from local after failover", i)
 		}
@@ -296,6 +310,46 @@ func TestFleetSkewNotRetried(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("skew refusal should cost exactly one request, servers saw %d", total)
+	}
+}
+
+// TestFleetBadItemNotRetried: an item the model rejects — a ratio
+// search without a DM window, params the simulator's config validation
+// refuses — is a 400 that would repeat on every replica, so the fleet
+// fails the call at once: no retries, nothing declared unavailable,
+// and no sweep.ErrUnavailable for a Degrade runner to re-run locally.
+func TestFleetBadItemNotRetried(t *testing.T) {
+	t.Parallel()
+	fleet, _, _ := newFleet(t, 3, nil, nil)
+	fp := mustSuite(t, testWorkload).Fingerprint()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"window-0 ratio search", func() error {
+			_, err := fleet.RatioBatch(context.Background(), testWorkload, 1, fp, []machine.Params{{Window: 16, MD: 30}, {MD: 30}})
+			return err
+		}},
+		{"mem_queue -5 ratio search", func() error {
+			_, err := fleet.RatioBatch(context.Background(), testWorkload, 1, fp, []machine.Params{{Window: 16, MD: 30, MemQueue: -5}})
+			return err
+		}},
+		{"mem_queue -5 run", func() error {
+			_, err := fleet.RunBatch(context.Background(), testWorkload, 1, fp, []sweep.Point{{Kind: machine.SWSM, P: machine.Params{Window: 16, MemQueue: -5}}})
+			return err
+		}},
+	} {
+		err := tc.call()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("%s: error %v, want a 400", tc.name, err)
+		}
+		if errors.Is(err, sweep.ErrUnavailable) {
+			t.Errorf("%s: a refused item must not read as unavailable: %v", tc.name, err)
+		}
+	}
+	if m := fleet.Metrics(); m.Retries != 0 || m.Unavailable != 0 {
+		t.Errorf("refused items were retried: %+v", m)
 	}
 }
 
@@ -407,48 +461,37 @@ func stubSearchReplica(t *testing.T, reply SearchResponse) (*httptest.Server, *a
 }
 
 // TestBatchSearchRejectsImpossibleAnswers: an OK answer outside what
-// any search could return — a zero or negative ratio, a ratio whose
-// window is not an integer in [1, MaxEquivalentWindow], a window out of
-// range, a crossover off the request's grid — is ErrMalformedReply,
-// never a figure value.
+// any search could return — a zero or negative ratio, or a ratio whose
+// window is not an integer in [1, MaxEquivalentWindow] — is
+// ErrMalformedReply, never a figure value.
 func TestBatchSearchRejectsImpossibleAnswers(t *testing.T) {
 	t.Parallel()
-	ratio := SearchRequest{Op: SearchRatio, Params: Params{Window: 16, MD: 30}}
-	window := SearchRequest{Op: SearchWindow, Params: Params{Window: 16, MD: 30}, TargetCycles: 1000}
-	cross := SearchRequest{Op: SearchCrossover, Windows: []int{4, 8, 16}}
+	ratio := SearchRequest{Params: Params{Window: 16, MD: 30}}
 	cases := []struct {
 		name  string
-		req   SearchRequest
 		reply SearchResponse
 	}{
-		{"zero ratio", ratio, SearchResponse{Ratio: 0, OK: true}},
-		{"negative ratio", ratio, SearchResponse{Ratio: -2, OK: true}},
-		{"fractional window", ratio, SearchResponse{Ratio: 1.03, OK: true}},
-		{"ratio past the cap", ratio, SearchResponse{Ratio: float64(metrics.MaxEquivalentWindow+16) / 16, OK: true}},
-		{"window zero", window, SearchResponse{Window: 0, OK: true}},
-		{"window past the cap", window, SearchResponse{Window: metrics.MaxEquivalentWindow + 1, OK: true}},
-		{"crossover off grid", cross, SearchResponse{Window: 12, OK: true}},
+		{"zero ratio", SearchResponse{Ratio: 0, OK: true}},
+		{"negative ratio", SearchResponse{Ratio: -2, OK: true}},
+		{"fractional window", SearchResponse{Ratio: 1.03, OK: true}},
+		{"ratio past the cap", SearchResponse{Ratio: float64(metrics.MaxEquivalentWindow+16) / 16, OK: true}},
 	}
 	for _, tc := range cases {
 		hs, _ := stubSearchReplica(t, tc.reply)
-		_, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{tc.req})
+		_, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{ratio})
 		if !errors.Is(err, ErrMalformedReply) {
 			t.Errorf("%s: %+v accepted or misclassified: %v", tc.name, tc.reply, err)
 		}
 	}
 	// Answers a search can produce pass, as do saturated answers.
-	for _, ok := range []struct {
-		req   SearchRequest
-		reply SearchResponse
-	}{
-		{ratio, SearchResponse{Ratio: 37.0 / 16, OK: true}},
-		{ratio, SearchResponse{Ratio: 99, OK: false}},
-		{window, SearchResponse{Window: metrics.MaxEquivalentWindow, OK: true}},
-		{cross, SearchResponse{Window: 8, OK: true}},
+	for _, reply := range []SearchResponse{
+		{Ratio: 37.0 / 16, OK: true},
+		{Ratio: float64(metrics.MaxEquivalentWindow) / 16, OK: true},
+		{Ratio: 99, OK: false},
 	} {
-		hs, _ := stubSearchReplica(t, ok.reply)
-		if _, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{ok.req}); err != nil {
-			t.Errorf("%+v refused: %v", ok.reply, err)
+		hs, _ := stubSearchReplica(t, reply)
+		if _, err := NewClient(hs.URL).BatchSearch(context.Background(), []SearchRequest{ratio}); err != nil {
+			t.Errorf("%+v refused: %v", reply, err)
 		}
 	}
 }
@@ -480,7 +523,7 @@ func TestFleetReroutesMalformedSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := fleet.Ring().Owner(searchKey(testWorkload, 1, SearchRequest{Op: SearchRatio, Params: wp}))
+		o := fleet.Ring().Owner(searchKey(testWorkload, 1, wp))
 		if owned[o] == 2 {
 			continue
 		}

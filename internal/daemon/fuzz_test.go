@@ -95,8 +95,9 @@ func fuzzBatchEndpoint(f *testing.F, path, valid string) {
 		// The property is "always an HTTP answer, never a panic" — a
 		// panic unwinds through ServeHTTP and fails the fuzz run. On
 		// top of that, malformed JSON must always be a 400, never a
-		// partial success (well-formed batches may legitimately earn
-		// any status, e.g. 500 for params the simulator rejects).
+		// partial success. Well-formed batches may earn 200, 400
+		// (including params the simulator's config validation refuses,
+		// checked before anything simulates) or 409.
 		code := postBody(handler, path, body)
 		if !json.Valid(body) && code != http.StatusBadRequest {
 			t.Errorf("%s accepted invalid JSON with %d: %q", path, code, body)
@@ -116,8 +117,9 @@ func FuzzBatchRunDecode(f *testing.F) {
 
 // FuzzBatchSearchDecode fuzzes the /v1/batch/search decoder.
 func FuzzBatchSearchDecode(f *testing.F) {
-	// Hostile crossover grids: unsorted, repeated, non-positive and
-	// oversized grids must all be refused with 400.
+	// Items carrying the retired op/windows fields (hostile crossover
+	// grids: unsorted, repeated, non-positive, oversized) must all be
+	// refused with the unknown-field 400.
 	for _, grid := range []string{`[64,8]`, `[8,8]`, `[0,8]`, `[-1]`} {
 		f.Add([]byte(`{"items":[{"workload":"TRFD","op":"crossover","params":{"md":0},"windows":` + grid + `}]}`))
 	}
@@ -132,7 +134,7 @@ func FuzzBatchSearchDecode(f *testing.F) {
 	grid.WriteString(`]}]}`)
 	f.Add(grid.Bytes())
 	fuzzBatchEndpoint(f, "/v1/batch/search",
-		`{"items":[{"workload":"TRFD","op":"ratio","params":{"window":8,"md":10}}]}`)
+		`{"items":[{"workload":"TRFD","params":{"window":8,"md":10}}]}`)
 }
 
 // TestBatchSizeBounds pins the non-fuzz half of the oversize contract
@@ -144,7 +146,7 @@ func TestBatchSizeBounds(t *testing.T) {
 	handler := srv.Handler()
 	for path, item := range map[string]string{
 		"/v1/batch/run":    `{"workload":"TRFD","kind":"DM"}`,
-		"/v1/batch/search": `{"workload":"TRFD","op":"ratio"}`,
+		"/v1/batch/search": `{"workload":"TRFD","params":{"window":8}}`,
 	} {
 		if code := postBody(handler, path, []byte(`{"items":[]}`)); code != http.StatusBadRequest {
 			t.Errorf("%s: empty batch answered %d, want 400", path, code)

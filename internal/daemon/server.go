@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +26,8 @@ type Config struct {
 	// Store is the shared persistent result cache (L2) behind every
 	// runner the daemon builds; nil serves from memory only.
 	Store *sweep.Store
-	// Parallelism caps each runner's worker pool and the number of
-	// searches one batch runs at once (0 = GOMAXPROCS).
+	// Parallelism is the sweep.ForEach width of each runner's batches
+	// and of the searches one batch runs at once (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxConcurrent bounds simultaneously-executing simulation requests
 	// (batch run and batch search); excess requests queue until a slot frees or
@@ -377,115 +376,42 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// prepSearch validates one search request: it resolves the runner and
-// decodes the params, refusing malformed ops before anything simulates.
-// A non-nil error carries the HTTP status to refuse with.
-func (s *Server) prepSearch(req SearchRequest) (*sweep.Runner, machine.Params, int, error) {
-	runner, err := s.runnerFor(req.Target)
-	if err != nil {
-		return nil, machine.Params{}, targetStatus(err), err
-	}
-	p, err := req.Params.Machine()
-	if err != nil {
-		return nil, machine.Params{}, http.StatusBadRequest, err
-	}
-	switch req.Op {
-	case SearchWindow:
-		if req.TargetCycles <= 0 {
-			return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: window search needs target_cycles > 0")
-		}
-	case SearchRatio:
-	case SearchCrossover:
-		if err := checkGrid(req.Windows); err != nil {
-			return nil, machine.Params{}, http.StatusBadRequest, err
-		}
-	default:
-		return nil, machine.Params{}, http.StatusBadRequest, fmt.Errorf("daemon: unknown search op %q (want %s, %s, %s)", req.Op, SearchWindow, SearchRatio, SearchCrossover)
-	}
-	return runner, p, 0, nil
-}
-
-// checkGrid validates a crossover grid. Crossover answers the first
-// SWSM-winning window in grid order, so only a strictly ascending grid
-// yields the smallest; and each window costs up to two simulations, so
-// the grid is capped like a batch.
-func checkGrid(windows []int) error {
-	switch {
-	case len(windows) == 0:
-		return fmt.Errorf("daemon: crossover search needs a windows grid")
-	case len(windows) > MaxBatchItems:
-		return fmt.Errorf("daemon: crossover grid of %d windows exceeds the %d-window limit", len(windows), MaxBatchItems)
-	case windows[0] < 1:
-		return fmt.Errorf("daemon: crossover grid window %d is below 1", windows[0])
-	}
-	for i := 1; i < len(windows); i++ {
-		if windows[i] <= windows[i-1] {
-			return fmt.Errorf("daemon: crossover grid is not strictly ascending at index %d (%d after %d)", i, windows[i], windows[i-1])
-		}
-	}
-	return nil
-}
-
-// execSearch runs one validated search. Each call owns its Search (a
-// Search runs its probes in order and is not safe for concurrent use);
-// probes still share the runner's caches with every other request.
-func execSearch(runner *sweep.Runner, p machine.Params, req SearchRequest) (SearchResponse, error) {
-	search := metrics.NewSearch(runner)
-	var resp SearchResponse
-	var err error
-	switch req.Op {
-	case SearchWindow:
-		resp.Window, resp.OK, err = search.EquivalentWindow(p, req.TargetCycles)
-	case SearchRatio:
-		resp.Ratio, resp.OK, err = search.EquivalentWindowRatio(p)
-	case SearchCrossover:
-		resp.Window, resp.OK, err = search.Crossover(p, req.Windows)
-	}
-	return resp, err
-}
-
-// checkBatchSize refuses empty and oversized batches with 400.
-func checkBatchSize(w http.ResponseWriter, path string, n int) bool {
+// resolveBatch resolves every item of an n-item batch before anything
+// simulates — the batch is all-or-nothing, so a malformed tail must not
+// waste the head's work. Empty and oversized batches are refused with
+// 400. target(i) names item i's suite (a skewed one is refused with
+// 409, any other bad target with 400), and check(i, rn) decodes item i
+// and refuses with 400 what the model would reject. It answers a
+// refusal itself and then returns nil.
+func (s *Server) resolveBatch(w http.ResponseWriter, path string, n int, target func(i int) Target, check func(i int, rn *sweep.Runner) error) []*sweep.Runner {
 	switch {
 	case n == 0:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: %s batch has no items", path))
-		return false
+		return nil
 	case n > MaxBatchItems:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: %s batch of %d items exceeds the %d-item limit; split it", path, n, MaxBatchItems))
-		return false
+		return nil
 	}
-	return true
+	runners := make([]*sweep.Runner, n)
+	for i := range runners {
+		rn, err := s.runnerFor(target(i))
+		status := targetStatus(err)
+		if err == nil {
+			runners[i], err, status = rn, check(i, rn), http.StatusBadRequest
+		}
+		if err != nil {
+			writeError(w, status, fmt.Errorf("daemon: batch item %d: %w", i, err))
+			return nil
+		}
+	}
+	return runners
 }
 
-func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
-	var req BatchRunRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad batch run request: %w", err))
-		return
-	}
-	if !checkBatchSize(w, "run", len(req.Items)) {
-		return
-	}
-	// Validate every item before simulating any: the batch is
-	// all-or-nothing, so a malformed tail must not waste the head's work.
-	runners := make([]*sweep.Runner, len(req.Items))
-	pts := make([]sweep.Point, len(req.Items))
-	for i, item := range req.Items {
-		runner, err := s.runnerFor(item.Target)
-		if err != nil {
-			writeError(w, targetStatus(err), fmt.Errorf("daemon: batch item %d: %w", i, err))
-			return
-		}
-		runners[i] = runner
-		if pts[i], err = item.Point.Sweep(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: batch item %d: %w", i, err))
-			return
-		}
-	}
-	// Execute per runner through RunBatch, so each group reuses the
-	// runner's worker pool and per-worker scratches like a local sweep.
-	start := time.Now()
-	results := make([]*engine.Result, len(req.Items))
+// bySuite executes a resolved batch one suite at a time: exec runs the
+// inputs whose items resolved to one runner, in first-appearance order,
+// so a batch spanning suites costs one local call per suite. Outputs
+// land at their items' indices.
+func bySuite[In, Out any](runners []*sweep.Runner, in []In, exec func(rn *sweep.Runner, in []In) ([]Out, error)) ([]Out, error) {
 	var order []*sweep.Runner
 	groups := make(map[*sweep.Runner][]int)
 	for i, rn := range runners {
@@ -494,79 +420,92 @@ func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
 		}
 		groups[rn] = append(groups[rn], i)
 	}
+	out := make([]Out, len(in))
 	for _, rn := range order {
 		idx := groups[rn]
-		gp := make([]sweep.Point, len(idx))
+		sub := make([]In, len(idx))
 		for j, i := range idx {
-			gp[j] = pts[i]
+			sub[j] = in[i]
 		}
-		res, err := rn.RunBatch(gp)
+		got, err := exec(rn, sub)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		for j, i := range idx {
-			results[i] = res[j]
+			out[i] = got[j]
 		}
 	}
-	s.logf("batch run: %d items across %d suites in %s", len(req.Items), len(order), time.Since(start).Round(time.Millisecond))
+	return out, nil
+}
+
+func (s *Server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
+	var req BatchRunRequest
+	if err := decode(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad batch run request: %w", err))
+		return
+	}
+	pts := make([]sweep.Point, len(req.Items))
+	runners := s.resolveBatch(w, "run", len(req.Items), func(i int) Target { return req.Items[i].Target }, func(i int, rn *sweep.Runner) (err error) {
+		if pts[i], err = req.Items[i].Point.Sweep(); err != nil {
+			return err
+		}
+		return rn.Suite.Check(pts[i].Kind, pts[i].P)
+	})
+	if runners == nil {
+		return
+	}
+	// Each suite's points run through RunBatch, so they fan across the
+	// runner's pool like a local sweep.
+	start := time.Now()
+	results, err := bySuite(runners, pts, (*sweep.Runner).RunBatch)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	s.logf("batch run: %d items in %s", len(req.Items), time.Since(start).Round(time.Millisecond))
 	writeJSON(w, BatchRunResponse{Results: results})
 }
 
+// handleBatchSearch answers ratio searches. An item's Params.Window is
+// its DM window, which must be at least 1, and its params must pass the
+// simulator's config validation on both machines.
 func (s *Server) handleBatchSearch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
 	if err := decode(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad batch search request: %w", err))
 		return
 	}
-	if !checkBatchSize(w, "search", len(req.Items)) {
+	params := make([]machine.Params, len(req.Items))
+	runners := s.resolveBatch(w, "search", len(req.Items), func(i int) Target { return req.Items[i].Target }, func(i int, rn *sweep.Runner) (err error) {
+		p := &params[i]
+		if *p, err = req.Items[i].Params.Machine(); err != nil {
+			return err
+		}
+		if p.Window < 1 {
+			return fmt.Errorf("daemon: ratio search needs a DM window of at least 1, got %d", p.Window)
+		}
+		if err := rn.Suite.Check(machine.DM, *p); err != nil {
+			return err
+		}
+		return rn.Suite.Check(machine.SWSM, *p)
+	})
+	if runners == nil {
 		return
 	}
-	runners := make([]*sweep.Runner, len(req.Items))
-	params := make([]machine.Params, len(req.Items))
-	for i, item := range req.Items {
-		runner, p, status, err := s.prepSearch(item)
-		if err != nil {
-			writeError(w, status, fmt.Errorf("daemon: batch item %d: %w", i, err))
-			return
-		}
-		runners[i], params[i] = runner, p
-	}
-	// Independent searches fan out across the pool; each owns its
-	// Search, runs its probes in order, and all probes coalesce in the
-	// runners' caches, so one batch runs at most Parallelism
-	// simulations at once.
-	par := s.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(req.Items) {
-		par = len(req.Items)
-	}
+	// Each suite's searches run through metrics.Ratios — the fan-out of
+	// a local Figure 7-9 — so one batch runs at most Parallelism
+	// searches at once and their probes coalesce in the runner's caches.
 	start := time.Now()
-	results := make([]SearchResponse, len(req.Items))
-	errs := make([]error, len(req.Items))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = execSearch(runners[i], params[i], req.Items[i])
-			}
-		}()
+	answers, err := bySuite(runners, params, func(rn *sweep.Runner, ps []machine.Params) ([]metrics.RatioAnswer, error) {
+		return metrics.Ratios(rn, s.cfg.Parallelism, ps)
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	for i := range req.Items {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	results := make([]SearchResponse, len(answers))
+	for i, a := range answers {
+		results[i] = SearchResponse{Ratio: a.Ratio, OK: a.OK}
 	}
 	s.logf("batch search: %d items in %s", len(req.Items), time.Since(start).Round(time.Millisecond))
 	writeJSON(w, BatchSearchResponse{Results: results})

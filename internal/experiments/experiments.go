@@ -15,7 +15,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"daesim/internal/engine"
@@ -32,9 +31,10 @@ type Context struct {
 	Scale int
 	// Policy is the AU/DU partition policy (default Classic).
 	Policy partition.Policy
-	// Parallelism caps each workload runner's concurrent simulations and
-	// the number of equivalent-window searches run at once (0 =
-	// GOMAXPROCS).
+	// Parallelism is the sweep.ForEach width of every fan-out the
+	// context runs: each workload runner's concurrent simulations, the
+	// sharded tables and figures, and the number of equivalent-window
+	// searches run at once (0 = GOMAXPROCS).
 	Parallelism int
 	// Cache, when non-nil, is the persistent result store handed to every
 	// workload runner: simulation results survive process restarts and are
@@ -152,14 +152,6 @@ func (c *Context) buildRunner(name string) (*sweep.Runner, error) {
 	return r, nil
 }
 
-// par returns the effective worker-pool width.
-func (c *Context) par() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; every result lands in a shard indexed by input, not by completion order
-}
-
 // CacheStats aggregates cache traffic across every runner the context
 // has built so far (the run summary of cmd/repro), including the
 // ad-hoc runners the policy study builds for non-default partitions.
@@ -233,7 +225,7 @@ type Table1Result struct {
 func (c *Context) Table1() (*Table1Result, error) {
 	specs := workloads.Catalog()
 	runners := make([]*sweep.Runner, len(specs))
-	if err := forEach(c.par(), len(specs), func(i int) error {
+	if err := sweep.ForEach(c.Parallelism, len(specs), func(_ *engine.Sim, i int) error {
 		r, err := c.Runner(specs[i].Name)
 		runners[i] = r
 		return err
@@ -254,8 +246,8 @@ func (c *Context) Table1() (*Table1Result, error) {
 		}
 	}
 	results := make([]*engine.Result, len(jobs))
-	if err := forEach(c.par(), len(jobs), func(j int) error {
-		res, err := runners[jobs[j].workload].Run(jobs[j].pt)
+	if err := sweep.ForEach(c.Parallelism, len(jobs), func(sim *engine.Sim, j int) error {
+		res, err := runners[jobs[j].workload].RunWith(sim, jobs[j].pt)
 		results[j] = res
 		return err
 	}); err != nil {
@@ -389,74 +381,54 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// answers[mi*len(RatioWindows)+wi] is the search at (RatioMDs[mi],
-	// RatioWindows[wi]); the result is assembled from it in that order,
-	// whatever order the searches finish in.
+	// params[mi*nw+wi] is the search at (RatioMDs[mi], RatioWindows[wi]),
+	// and its answer lands at the same index whatever order the searches
+	// finish in.
 	nw := len(RatioWindows)
-	answers := make([]RatioAnswer, len(RatioMDs)*nw)
-	// localPoint measures one point through the local search path. Every
-	// probe routes through the shared Runner, so searches share memoized
-	// DM anchors and SWSM probes with each other and with other sweeps,
-	// and the Runner's single-flight L1 simulates a probe two concurrent
-	// searches need only once.
-	localPoint := func(search *metrics.Search, i int) error {
-		ratio, ok, err := search.EquivalentWindowRatio(machine.Params{Window: RatioWindows[i%nw], MD: RatioMDs[i/nw]})
-		answers[i] = RatioAnswer{Ratio: ratio, OK: ok}
-		return err
+	params := make([]machine.Params, 0, len(RatioMDs)*nw)
+	for _, md := range RatioMDs {
+		for _, w := range RatioWindows {
+			params = append(params, machine.Params{Window: w, MD: md})
+		}
 	}
-	par := c.par()
-	if c.RemoteSearch != nil {
+	var answers []RatioAnswer
+	if c.RemoteSearch == nil {
+		// Every (MD, window) search is independent, so all of them fan
+		// out across the pool at once.
+		answers, err = metrics.Ratios(r, c.Parallelism, params)
+	} else {
 		// With a remote search service attached, each MD curve travels
 		// as one server-side batch: the daemon runs the same
-		// deterministic searches over its own shared cache, so a whole
-		// figure costs a few round trips instead of one per probe wave
-		// — and the values are identical to the local path by
-		// construction. A curve whose owners are all unavailable falls
-		// back to local searches wholesale when Degrade is set: the
-		// probes then flow through the runner, whose own Degrade
-		// fallback absorbs any remaining point-level outage.
+		// metrics.Ratios over its own shared cache, so a whole figure
+		// costs a few round trips instead of one per probe wave — and
+		// the values are identical to the local path by construction.
+		// A curve whose owners are all unavailable falls back to local
+		// searches wholesale when Degrade is set: the probes then flow
+		// through the runner, whose own Degrade fallback absorbs any
+		// remaining point-level outage.
+		answers = make([]RatioAnswer, len(params))
 		fp := r.Suite.Fingerprint()
-		if err := forEach(par, len(RatioMDs), func(mi int) error {
-			params := make([]machine.Params, nw)
-			for wi, w := range RatioWindows {
-				params[wi] = machine.Params{Window: w, MD: RatioMDs[mi]}
-			}
-			got, err := c.RemoteSearch(name, c.Scale, fp, params)
-			if err != nil {
-				if c.Degrade && errors.Is(err, sweep.ErrUnavailable) {
-					search := metrics.NewSearch(r)
-					for i := mi * nw; i < (mi+1)*nw; i++ {
-						if err := localPoint(search, i); err != nil {
-							return err
-						}
-					}
-					return nil
+		err = sweep.ForEach(c.Parallelism, len(RatioMDs), func(_ *engine.Sim, mi int) error {
+			curve := params[mi*nw : (mi+1)*nw]
+			got, err := c.RemoteSearch(name, c.Scale, fp, curve)
+			switch {
+			case err != nil && c.Degrade && errors.Is(err, sweep.ErrUnavailable):
+				if got, err = metrics.Ratios(r, 1, curve); err != nil {
+					return err
 				}
+			case err != nil:
 				return err
-			}
-			if len(got) != len(params) {
-				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(params))
+			case len(got) != len(curve):
+				return fmt.Errorf("experiments: remote search returned %d answers for %d ratio points", len(got), len(curve))
+			default:
+				c.addStats(sweep.CacheStats{RemoteSearches: int64(len(curve))})
 			}
 			copy(answers[mi*nw:], got)
-			c.addStats(sweep.CacheStats{RemoteSearches: int64(len(params))})
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		// Every (MD, window) search is independent, so all of them fan
-		// out across the pool, one Search (and one warm scratch) per
-		// worker: a Search runs its own probes in order and is not safe
-		// for concurrent use.
-		searches := make([]*metrics.Search, par)
-		if err := forEachWorker(par, len(answers), func(wk, i int) error {
-			if searches[wk] == nil {
-				searches[wk] = metrics.NewSearch(r)
-			}
-			return localPoint(searches[wk], i)
-		}); err != nil {
-			return nil, err
-		}
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	res := &RatioResult{Number: num, Workload: name, Saturated: map[int][]int{}}
 	res.Series = make([]sweep.Series, len(RatioMDs))
@@ -475,12 +447,8 @@ func (c *Context) RatioFigureNamed(num int, name string) (*RatioResult, error) {
 	return res, nil
 }
 
-// RatioAnswer is one RemoteSearch result: the equivalent-window ratio
-// at a DM configuration, or OK=false when the search saturated.
-type RatioAnswer struct {
-	Ratio float64
-	OK    bool
-}
+// RatioAnswer is one RemoteSearch result (metrics.RatioAnswer).
+type RatioAnswer = metrics.RatioAnswer
 
 // CutoffRow records the MD=0 crossover for one program.
 type CutoffRow struct {
@@ -507,22 +475,11 @@ func (c *Context) Cutoffs() (*CutoffResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := CutoffRow{Name: spec.Name}
-		for _, w := range windows {
-			dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: MDZero}})
-			if err != nil {
-				return nil, err
-			}
-			sw, err := r.Run(sweep.Point{Kind: machine.SWSM, P: machine.Params{Window: w, MD: MDZero}})
-			if err != nil {
-				return nil, err
-			}
-			if sw.Cycles <= dm.Cycles {
-				row.Window, row.Found = w, true
-				break
-			}
+		w, found, err := metrics.Crossover(r, machine.Params{MD: MDZero}, windows)
+		if err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, CutoffRow{Name: spec.Name, Window: w, Found: found})
 	}
 	return res, nil
 }

@@ -310,13 +310,13 @@ func (c *Context) ComplexityStudy() (*ComplexityResult, error) {
 	names := workloads.FigureNames()
 	windows := []int{32, 64, 100}
 	rows := make([]*ComplexityRow, len(names)*len(windows)) // nil: saturated
-	if err := forEach(c.par(), len(rows), func(i int) error {
+	if err := sweep.ForEach(c.Parallelism, len(rows), func(sim *engine.Sim, i int) error {
 		name, w := names[i/len(windows)], windows[i%len(windows)]
 		r, err := c.Runner(name)
 		if err != nil {
 			return err
 		}
-		dm, err := r.Run(sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: ablationMD}})
+		dm, err := r.RunWith(sim, sweep.Point{Kind: machine.DM, P: machine.Params{Window: w, MD: ablationMD}})
 		if err != nil {
 			return err
 		}

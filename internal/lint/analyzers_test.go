@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,5 +220,28 @@ func TestRepoIsClean(t *testing.T) {
 		for _, d := range RunAnalyzers(w, analyzers) {
 			t.Errorf("IncludeTests=%v: %s", includeTests, d)
 		}
+	}
+}
+
+// TestForEachIsConcurrentCallback pins DESIGN.md §12's claim that the
+// one worker pool, sweep.ForEach, carries //daelint:concurrent-callback:
+// without it the determinism analyzer would not audit the func literals
+// handed to the pool, and completion-order aggregation in a callback
+// would pass the gate silently.
+func TestForEachIsConcurrentCallback(t *testing.T) {
+	w, err := Load("../..", []string{"./internal/sweep"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := w.Pkg("daesim/internal/sweep")
+	if pkg == nil {
+		t.Fatal("daesim/internal/sweep not loaded")
+	}
+	fn, _ := pkg.Types.Scope().Lookup("ForEach").(*types.Func)
+	if fn == nil {
+		t.Fatal("sweep.ForEach not found")
+	}
+	if !concurrentCallbackIndex(w)[funcKey(fn)] {
+		t.Errorf("%s is missing from the concurrent-callback index; annotate it //daelint:concurrent-callback", funcKey(fn))
 	}
 }

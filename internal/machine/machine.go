@@ -307,6 +307,23 @@ func (p Params) Config(kind Kind) (engine.Config, error) {
 	}
 }
 
+// Check reports the configuration error Run would refuse p with for
+// kind — the engine's own Config.Validate against the lowered program,
+// plus the memory-queue bound — without building a memory model or
+// simulating, so a server can refuse a bad request before any work
+// starts. A custom p.Mem is not checked.
+func (s *Suite) Check(kind Kind, p Params) error {
+	if p.MemQueue < Unbounded {
+		return fmt.Errorf("machine: invalid MemQueue %d", p.MemQueue)
+	}
+	p.MemQueue, p.Mem = Unbounded, nil // no model to build: the bound is checked above
+	cfg, err := p.Config(kind)
+	if err != nil {
+		return err
+	}
+	return cfg.Validate(s.Program(kind))
+}
+
 // Program returns the lowered program Run executes for kind.
 func (s *Suite) Program(kind Kind) *engine.Program {
 	if kind == DM {

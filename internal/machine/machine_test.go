@@ -197,3 +197,28 @@ func (m *countingMem) Consume(addr uint64, cycle int64)          {}
 func (m *countingMem) Reset()                                    { m.fills = 0 }
 
 var _ engine.MemModel = (*countingMem)(nil)
+
+// TestCheckAgreesWithRun: Check refuses exactly the params Run refuses,
+// on both machines, so a server that checks first never starts a
+// simulation that would fail on its configuration.
+func TestCheckAgreesWithRun(t *testing.T) {
+	s := mustSuite(t)
+	for _, p := range []Params{
+		{Window: 8, MD: 30},
+		{Window: 0, MD: 60},
+		{Window: 8, MemQueue: Unbounded},
+		{Window: 8, MemQueue: 3},
+		{Window: 8, MemQueue: -5},
+		{Window: 8, MD: -1},
+		{Window: 8, FPLat: -2},
+		{Window: 8, CopyLat: -1},
+		{Window: 8, DispatchWidth: -1},
+	} {
+		for _, kind := range []Kind{DM, SWSM} {
+			_, runErr := s.Run(kind, p)
+			if checkErr := s.Check(kind, p); (checkErr == nil) != (runErr == nil) {
+				t.Errorf("%v %+v: Check says %v, Run says %v", kind, p, checkErr, runErr)
+			}
+		}
+	}
+}

@@ -373,6 +373,34 @@ func EquivalentWindowRatio(r *sweep.Runner, p machine.Params) (ratio float64, ok
 	return NewSearch(r).EquivalentWindowRatio(p)
 }
 
+// RatioAnswer is one equivalent-window ratio search result: the ratio
+// at a DM configuration, or OK=false when the search saturated.
+type RatioAnswer struct {
+	Ratio float64
+	OK    bool
+}
+
+// Ratios runs Search.EquivalentWindowRatio at every params entry on
+// sweep.ForEach with par workers and returns the answers in input
+// order. Each search runs on a Search bound to its worker's sim and
+// probes through r, so searches share memoized probes and r's
+// single-flight L1 simulates a probe two searches need only once. It
+// is the one ratio fan-out — Figures 7-9 locally and sweepd's
+// /v1/batch/search remotely — and a failing search stops the rest.
+func Ratios(r *sweep.Runner, par int, params []machine.Params) ([]RatioAnswer, error) {
+	out := make([]RatioAnswer, len(params))
+	err := sweep.ForEach(par, len(params), func(sim *engine.Sim, i int) error {
+		s := Search{Runner: r, sim: sim}
+		ratio, ok, err := s.EquivalentWindowRatio(params[i])
+		out[i] = RatioAnswer{Ratio: ratio, OK: ok}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Crossover is Search.Crossover on a one-shot Search against r.
 func Crossover(r *sweep.Runner, p machine.Params, windows []int) (window int, ok bool, err error) {
 	return NewSearch(r).Crossover(p, windows)

@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -525,5 +526,46 @@ func TestCrossover(t *testing.T) {
 	}
 	if w < 2 || w > 128 {
 		t.Fatalf("crossover %d outside sweep", w)
+	}
+}
+
+// TestRatios: the ratio fan-out answers, at any width, exactly what
+// point-by-point EquivalentWindowRatio answers, in input order, and
+// simulates the same points (the probe union does not depend on how
+// the searches were scheduled). A search the model refuses fails the
+// call.
+func TestRatios(t *testing.T) {
+	s := smallSuite(t)
+	var params []machine.Params
+	for _, md := range []int{0, 20, 60} {
+		for _, w := range []int{4, 8, 12, 16, 24} {
+			params = append(params, machine.Params{Window: w, MD: md})
+		}
+	}
+	serial := sweep.NewRunner(s)
+	want := make([]RatioAnswer, len(params))
+	for i, p := range params {
+		ratio, ok, err := EquivalentWindowRatio(serial, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = RatioAnswer{Ratio: ratio, OK: ok}
+	}
+	for _, par := range []int{1, 4} {
+		r := sweep.NewRunner(s)
+		got, err := Ratios(r, par, params)
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("par %d: Ratios %v != point-by-point %v", par, got, want)
+		}
+		if g, w := r.Stats().Sims, serial.Stats().Sims; g != w {
+			t.Errorf("par %d: %d sims, point-by-point ran %d", par, g, w)
+		}
+	}
+	bad := append(append([]machine.Params(nil), params[:3]...), machine.Params{MD: 20})
+	if _, err := Ratios(sweep.NewRunner(s), 2, bad); err == nil {
+		t.Error("a ratio search without a DM window was accepted")
 	}
 }

@@ -102,12 +102,12 @@ func (s CacheStats) HitRate() float64 {
 // Runner executes points against one suite.
 type Runner struct {
 	Suite *machine.Suite
-	// Parallelism bounds the worker pool of RunBatch (default:
+	// Parallelism is the ForEach width of RunBatch (default:
 	// GOMAXPROCS). Set it to 1 to run batches serially, e.g. for
 	// deterministic profiling. It does not bound equivalent-window
 	// searches (metrics.Search): a search runs its probes in order on
 	// its own scratch, and callers that run several searches at once
-	// bound how many (experiments.Context.Parallelism).
+	// bound how many (metrics.Ratios' par).
 	Parallelism int
 	// Store, when non-nil, is the persistent L2 consulted between the
 	// in-memory map and the simulator. Set it before the first Run.
@@ -291,7 +291,7 @@ func (r *Runner) run(sim *engine.Sim, pts []Point, out []*engine.Result) error {
 
 // peelStore reads the owned claims from the Store, settles the hits,
 // and returns the claims that missed (reusing owned's backing array).
-// Several reads fan across the worker pool: a warm-store batch is
+// Several reads fan across ForEach: a warm-store batch is
 // exactly the case batching exists to make fast, so it must not
 // serialize that I/O (disk, decode, checksum).
 func (r *Runner) peelStore(pts []Point, owned []claim, out []*engine.Result) []claim {
@@ -304,7 +304,10 @@ func (r *Runner) peelStore(pts []Point, owned []claim, out []*engine.Result) []c
 			peel[j] = pts[c.idx]
 		}
 		hits := make([]*engine.Result, len(owned))
-		r.forEach(len(owned), func(_ *engine.Sim, j int) { hits[j] = r.storeGet(peel[j]) })
+		_ = ForEach(r.Parallelism, len(owned), func(_ *engine.Sim, j int) error {
+			hits[j] = r.storeGet(peel[j])
+			return nil
+		})
 		for j, c := range owned {
 			out[c.idx] = hits[j]
 		}
@@ -337,7 +340,7 @@ func (r *Runner) storeGet(pt Point) *engine.Result {
 // with RemoteBatch set, every miss travels in one call, and under
 // Degrade an ErrUnavailable reply's unserved (nil) slots — possibly all
 // of them — are simulated here instead. Without the hook every miss
-// simulates here: one on sim, more across the worker pool. Error
+// simulates here: one on sim, more across ForEach. Error
 // indices are pts-relative, matching the caller's point list.
 func (r *Runner) fillMisses(sim *engine.Sim, pts []Point, misses []claim, out []*engine.Result) error {
 	remote := r.RemoteBatch != nil
@@ -401,8 +404,9 @@ func (r *Runner) fillMisses(sim *engine.Sim, pts []Point, misses []claim, out []
 	}
 	results := make([]*engine.Result, len(local))
 	errs := make([]error, len(local))
-	r.forEach(len(local), func(sim *engine.Sim, t int) {
+	_ = ForEach(r.Parallelism, len(local), func(sim *engine.Sim, t int) error {
 		results[t], errs[t] = r.simulate(sim, lpts[t], remote)
+		return errs[t]
 	})
 	for t, err := range errs {
 		if err != nil {
@@ -453,17 +457,20 @@ func (r *Runner) Stats() CacheStats {
 	}
 }
 
-// forEach fans fn(sim, i) for i in [0, n) across at most
-// min(Parallelism, n) worker goroutines, each owning one scratch
-// context; with a single worker it runs inline. fn communicates
-// through its captures (result and error slices indexed by i). This is
-// the one worker-pool shape peelStore and fillMisses share.
+// ForEach runs fn(sim, i) for i in [0, n) on at most min(par, n)
+// workers (par <= 0 means GOMAXPROCS) and returns the lowest-index
+// error. It is the simulator's one bounded worker pool. Each worker
+// owns one engine.Sim and passes it to every task it runs; a single
+// worker runs inline on the caller's goroutine. Tasks start in index
+// order, and a failure stops the not-yet-started tasks above it while
+// every task below it still runs, so the error returned does not
+// depend on scheduling. fn must publish results in slots indexed by i.
 //
-//daelint:ctx-root workers drain a closed channel of at most n indices; there is no caller to cancel for
-func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
-	par := r.Parallelism
+//daelint:concurrent-callback
+//daelint:ctx-root workers claim at most n indices and exit; cancellation rides the callbacks' own hooks
+func ForEach(par, n int, fn func(sim *engine.Sim, i int) error) error {
 	if par <= 0 {
-		par = runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; fn writes results indexed by i
+		par = runtime.GOMAXPROCS(0) //daelint:nondeterministic-ok worker-pool width only; results land in slots indexed by task, not by completion order
 	}
 	if par > n {
 		par = n
@@ -471,29 +478,46 @@ func (r *Runner) forEach(n int, fn func(sim *engine.Sim, i int)) {
 	if par <= 1 {
 		sim := engine.NewSim()
 		for i := 0; i < n; i++ {
-			fn(sim, i)
+			if err := fn(sim, i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Int64 // lowest failing index so far; n while none
+	failed.Store(int64(n))
 	var wg sync.WaitGroup
-	work := make(chan int)
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One scratch context per worker: runs on this goroutine
-			// reuse state without contending on the shared pool.
 			sim := engine.NewSim()
-			for i := range work {
-				fn(sim, i)
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(n) || i > failed.Load() {
+					return
+				}
+				if errs[i] = fn(sim, int(i)); errs[i] == nil {
+					continue
+				}
+				for {
+					f := failed.Load()
+					if i >= f || failed.CompareAndSwap(f, i) {
+						break
+					}
+				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // claim is one cacheable point's L1 slot within a run: either owned by

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"daesim/internal/engine"
 	"daesim/internal/kernel"
@@ -611,4 +612,88 @@ func TestRunWithAllocs(t *testing.T) {
 	if hit > 4 || miss > 13 {
 		t.Errorf("RunWith allocates %v on an L1 hit and %v on a cold miss, want at most 4 and 13", hit, miss)
 	}
+}
+
+// TestForEach pins the pool's contract: the lowest-index error wins
+// whatever order tasks finish in, a single worker starts nothing after
+// a failure, empty and narrow task lists work, at most par tasks run at
+// once, and each worker holds one sim that no other task uses while it
+// runs.
+func TestForEach(t *testing.T) {
+	t.Run("lowest-index error", func(t *testing.T) {
+		for _, par := range []int{1, 2, 4} {
+			err := ForEach(par, 40, func(_ *engine.Sim, i int) error {
+				switch i {
+				case 2:
+					time.Sleep(5 * time.Millisecond) // finish after the higher failures
+					return fmt.Errorf("task %d", i)
+				case 3, 9, 30:
+					return fmt.Errorf("task %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "task 2" {
+				t.Errorf("par %d: got %v, want the lowest-index error (task 2)", par, err)
+			}
+		}
+	})
+	t.Run("par 1 stops at the failure", func(t *testing.T) {
+		started := make([]bool, 8)
+		err := ForEach(1, len(started), func(_ *engine.Sim, i int) error {
+			started[i] = true
+			if i == 3 {
+				return errors.New("boom")
+			}
+			return nil
+		})
+		want := []bool{true, true, true, true, false, false, false, false}
+		if err == nil || !reflect.DeepEqual(started, want) {
+			t.Errorf("started %v (err %v), want %v and an error", started, err, want)
+		}
+	})
+	t.Run("empty and narrow", func(t *testing.T) {
+		if err := ForEach(4, 0, func(*engine.Sim, int) error { t.Error("task ran for n == 0"); return nil }); err != nil {
+			t.Error(err)
+		}
+		runs := make([]int, 3)
+		if err := ForEach(8, len(runs), func(_ *engine.Sim, i int) error { runs[i]++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(runs, []int{1, 1, 1}) {
+			t.Errorf("par > n ran tasks %v times, want each once", runs)
+		}
+	})
+	t.Run("one sim per worker", func(t *testing.T) {
+		for _, par := range []int{1, 3} {
+			var mu sync.Mutex
+			inUse := map[*engine.Sim]bool{}
+			seen := map[*engine.Sim]int{}
+			var active, peak atomic.Int64
+			err := ForEach(par, 60, func(sim *engine.Sim, i int) error {
+				if n := active.Add(1); n > peak.Load() {
+					peak.Store(n)
+				}
+				defer active.Add(-1)
+				mu.Lock()
+				if sim == nil || inUse[sim] {
+					mu.Unlock()
+					return fmt.Errorf("task %d: sim nil or shared with a running task", i)
+				}
+				inUse[sim] = true
+				seen[sim]++
+				mu.Unlock()
+				time.Sleep(100 * time.Microsecond)
+				mu.Lock()
+				inUse[sim] = false
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("par %d: %v", par, err)
+			}
+			if len(seen) > par || peak.Load() > int64(par) {
+				t.Errorf("par %d: %d distinct sims, %d tasks at once; want at most %d of each", par, len(seen), peak.Load(), par)
+			}
+		}
+	})
 }
